@@ -234,16 +234,16 @@ func BenchmarkBottleneckUnion(b *testing.B) {
 	}
 }
 
-// --- Memoized + incremental fitness evaluation ------------------------
+// --- Deduplicated + incremental fitness evaluation --------------------
 
 // BenchmarkFitnessEvolution measures the population fitness loop at
 // QuickScale: the §4.4 evolutionary loop plus greedy local search over
-// the 12-instruction/8-port ablation set, with the engine's redundancy-
-// exploiting layer (throughput memo, duplicate-candidate skip, delta
-// local search) enabled. BenchmarkFitnessEvolutionNoCache is the same
-// loop with the layer disabled — results are bit-identical (pinned in
-// internal/evo) — so the pair quantifies the caching speedup. The
-// evals/s metric is candidate Davg computations per second.
+// the 12-instruction/8-port ablation set, with the search's
+// work-skipping layers (duplicate-candidate skip, delta local search)
+// enabled. BenchmarkFitnessEvolutionNoCache is the same loop with them
+// disabled — results are bit-identical (pinned in internal/evo) — so the
+// pair quantifies what they save. The evals/s metric is candidate Davg
+// computations per second.
 
 func BenchmarkFitnessEvolution(b *testing.B) { benchFitnessEvolution(b, false) }
 

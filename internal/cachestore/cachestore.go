@@ -1,12 +1,11 @@
 // Package cachestore persists cachetable.Table contents between
 // processes: a versioned, checksummed, bounded, atomically-written
 // on-disk spill format. It is the warm-start layer under the
-// measurement harness's kernel-simulation cache and the engine's
-// throughput memo — repeated inference on the same ISA reloads pure,
-// expensively derived values (noiseless steady-state cycles,
-// per-experiment bottleneck throughputs) instead of re-deriving them —
-// and, since PR 8, the container for evolution checkpoints (opaque
-// blobs under the same framing).
+// measurement harness's kernel-simulation cache and period hints —
+// repeated inference on the same ISA reloads pure, expensively derived
+// values (noiseless steady-state cycles, per-body periods) instead of
+// re-deriving them — and the container for evolution checkpoints
+// (opaque blobs under the same framing).
 //
 // The store is safe by construction:
 //
@@ -17,9 +16,9 @@
 //     simply cold-starts. Cached values are pure functions of their
 //     keys, so a loaded entry can change timing but never results.
 //   - Files carry a format version, a consumer schema tag, and a
-//     caller-supplied content key (e.g. the fingerprint of the
-//     experiment set a memo was built against); any mismatch reads as
-//     empty. Consumers whose keys are already self-versioning (the
+//     caller-supplied content key (e.g. the hash of the experiment set
+//     and options a checkpoint was taken against); any mismatch reads
+//     as empty. Consumers whose keys are already self-versioning (the
 //     kernel cache hashes the machine fingerprint into every key) use a
 //     fixed content key.
 //   - A whole-file checksum (seeded FNV-1a over header and payload)
@@ -51,13 +50,14 @@ import (
 )
 
 // Schema tags identify the consumer that wrote a file; a file is only
-// ever loaded by the schema that wrote it.
+// ever loaded by the schema that wrote it. Tags 2 (the engine's
+// per-experiment throughput memo) and 5 (its cross-generation fitness
+// cache) are retired: files carrying them may still exist on disk, so
+// the tags are never reused.
 const (
 	SchemaSimCache      uint32 = 1 // measure: kernel-simulation cache
-	SchemaFitnessMemo   uint32 = 2 // engine: per-experiment throughput memo
 	SchemaPeriodHints   uint32 = 3 // measure: per-body steady-state period hints
 	SchemaEvoCheckpoint uint32 = 4 // evo: checkpoint blob (populations, RNG, counters)
-	SchemaFitnessCache  uint32 = 5 // engine: cross-generation fitness cache
 )
 
 // Typed load diagnostics. Load and LoadBlob return exactly one of
@@ -95,8 +95,7 @@ const formatVersion uint32 = 1
 
 // MaxFileEntries bounds both what Save writes and what Load accepts:
 // 2^20 entries × 16 bytes = 16 MiB, comfortably above every bounded
-// in-memory table (the kernel cache has 2^16 slots, the memo ceiling is
-// 2^20).
+// in-memory table (the kernel cache has 2^16 slots).
 const MaxFileEntries = 1 << 20
 
 // MaxBlobBytes bounds blob payloads (SaveBlob/LoadBlob) the same way

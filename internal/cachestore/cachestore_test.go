@@ -185,10 +185,8 @@ var allSchemas = []struct {
 	schema uint32
 }{
 	{"SchemaSimCache", SchemaSimCache},
-	{"SchemaFitnessMemo", SchemaFitnessMemo},
 	{"SchemaPeriodHints", SchemaPeriodHints},
 	{"SchemaEvoCheckpoint", SchemaEvoCheckpoint},
-	{"SchemaFitnessCache", SchemaFitnessCache},
 }
 
 func TestDamageMatrixCoversEverySchema(t *testing.T) {
@@ -239,7 +237,7 @@ func TestLoadRejectsMismatchedIdentity(t *testing.T) {
 	if err := Save(path, SchemaSimCache, 0xabc, sampleEntries(4)); err != nil {
 		t.Fatal(err)
 	}
-	if entries, err := Load(path, SchemaFitnessMemo, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
+	if entries, err := Load(path, SchemaPeriodHints, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
 		t.Fatalf("wrong schema: %d entries, err %v", len(entries), err)
 	}
 	if entries, err := Load(path, SchemaSimCache, 0xdef); len(entries) != 0 || !errors.Is(err, ErrContentKey) {
@@ -253,11 +251,11 @@ func TestTableRoundTrip(t *testing.T) {
 		src.Put(e.Key, e.Val)
 	}
 	path := filepath.Join(t.TempDir(), "cache.pmc")
-	if err := SaveTable(path, SchemaFitnessMemo, 7, src); err != nil {
+	if err := SaveTable(path, SchemaSimCache, 7, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := cachetable.New(1 << 10)
-	n, err := LoadTable(path, SchemaFitnessMemo, 7, dst)
+	n, err := LoadTable(path, SchemaSimCache, 7, dst)
 	if err != nil || n == 0 {
 		t.Fatalf("LoadTable = %d, %v", n, err)
 	}
@@ -282,7 +280,7 @@ func TestBlobRoundTrip(t *testing.T) {
 		t.Fatalf("blob = %q, want %q", got, want)
 	}
 	// Identity mismatches degrade exactly like entry files.
-	if _, err := LoadBlob(path, SchemaFitnessCache, 0x1234); !errors.Is(err, ErrSchema) {
+	if _, err := LoadBlob(path, SchemaSimCache, 0x1234); !errors.Is(err, ErrSchema) {
 		t.Fatalf("wrong schema: %v", err)
 	}
 	if _, err := LoadBlob(path, SchemaEvoCheckpoint, 0x9999); !errors.Is(err, ErrContentKey) {

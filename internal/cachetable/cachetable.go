@@ -1,7 +1,6 @@
-// Package cachetable provides the bounded, lock-free cache table shared
-// by the engine's throughput memo and the measurement layer's
-// kernel-simulation cache: a fixed-size array of independently atomic
-// slots, direct-mapped by key.
+// Package cachetable provides the bounded, lock-free cache table under
+// the measurement layer's kernel-simulation cache and period hints: a
+// fixed-size array of independently atomic slots, direct-mapped by key.
 //
 // Each slot packs (key, value) into two atomic words with the
 // transposition-table XOR trick: the tag word stores key ^ value, so a
@@ -36,7 +35,7 @@ type entry struct {
 // miscomputed request (or the old round-up loop's overflow for inputs
 // near MaxInt) from attempting a multi-gigabyte — or, after signed
 // overflow, negative — allocation. 2^24 slots is 256 MiB, far above any
-// configured consumer (the engine memo caps itself at 2^20).
+// configured consumer (the kernel-simulation cache uses 2^16).
 const (
 	MinEntries = 1 << 6
 	MaxEntries = 1 << 24

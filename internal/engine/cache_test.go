@@ -11,88 +11,76 @@ import (
 	"pmevo/internal/throughput"
 )
 
-// newServicePair builds two services over the same measured set: one
-// with the memo enabled (the default) and one with caching disabled.
+// newServicePair builds two services over the same measured set: one on
+// the built-in fast path (per-worker subset-sum tables) and one routing
+// every prediction through the generic bottleneck Predictor, i.e.
+// throughput.Evaluator.ThroughputOf — the reference the fast path must
+// match bitwise.
 func newServicePair(t *testing.T, rng *rand.Rand, numInsts, numPorts int) (*Service, *Service) {
 	t.Helper()
 	_, set := measuredSet(t, rng, numInsts, numPorts)
-	memo, err := NewService(set, ServiceOptions{})
+	fast, err := NewService(set, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewService(set, ServiceOptions{MemoEntries: -1})
+	ref, err := NewService(set, ServiceOptions{Predictor: Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.memo.Load() == nil {
-		t.Fatal("default service has no memo")
-	}
-	if plain.memo.Load() != nil {
-		t.Fatal("MemoEntries < 0 did not disable the memo")
-	}
-	return memo, plain
+	return fast, ref
 }
 
-// TestMemoizedDavgBitIdentical is the central memo property: on random
-// mappings — including repeated evaluations of equal mappings, which hit
-// the memo — the memoized Davg must be bit-identical to the uncached
-// davgWith-style computation.
+// TestMemoizedDavgBitIdentical is the central property of the tables'
+// fingerprint-keyed reuse: on random mappings — including repeated
+// evaluations of equal mappings and of structurally equal clones, which
+// reuse every table a scratch already built — the fast-path Davg must be
+// bit-identical to the reference computation.
 func TestMemoizedDavgBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	memo, plain := newServicePair(t, rng, 10, 4)
+	fast, ref := newServicePair(t, rng, 10, 4)
 	for trial := 0; trial < 40; trial++ {
 		m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: 4, MaxUops: 3})
-		want, err := plain.Evaluate(m)
+		want, err := ref.Evaluate(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for rep := 0; rep < 2; rep++ { // rep 1 evaluates through memo hits
-			got, err := memo.Evaluate(m)
+		for rep := 0; rep < 2; rep++ { // rep 1 reuses the tables built by rep 0
+			got, err := fast.Evaluate(m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("trial %d rep %d: memoized %+v != uncached %+v", trial, rep, got, want)
+				t.Fatalf("trial %d rep %d: fast %+v != reference %+v", trial, rep, got, want)
 			}
 			// A structurally equal clone shares all fingerprints and must
-			// hit the same memo entries.
-			got2, err := memo.Evaluate(m.Clone())
+			// reuse the same tables.
+			got2, err := fast.Evaluate(m.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got2 != want {
-				t.Fatalf("trial %d rep %d: clone %+v != uncached %+v", trial, rep, got2, want)
+				t.Fatalf("trial %d rep %d: clone %+v != reference %+v", trial, rep, got2, want)
 			}
 		}
-	}
-	st := memo.Stats()
-	if st.MemoHits == 0 {
-		t.Error("repeated evaluations produced no memo hits")
-	}
-	if st.MemoMisses == 0 {
-		t.Error("no memo misses recorded")
-	}
-	if total := st.MemoHits + st.MemoMisses; total != int64(memo.NumExperiments())*int64(memo.Evaluations()) {
-		t.Errorf("hits+misses = %d, want experiments*evaluations = %d",
-			total, int64(memo.NumExperiments())*int64(memo.Evaluations()))
 	}
 }
 
 // TestEvaluateDeltaBitIdentical drives random single-instruction edit
-// sequences through the NewState/EvaluateDelta/Commit protocol — with
-// and without the memo — and checks every pending and committed fitness
-// bitwise against a fresh full evaluation of an equal mapping.
+// sequences through the NewState/EvaluateDelta/Commit protocol — on the
+// fast path and through the generic Predictor — and checks every pending
+// and committed fitness bitwise against a fresh full evaluation of an
+// equal mapping.
 func TestEvaluateDeltaBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	memo, plain := newServicePair(t, rng, 9, 4)
-	for _, svc := range []*Service{memo, plain} {
+	fast, ref := newServicePair(t, rng, 9, 4)
+	for _, svc := range []*Service{fast, ref} {
 		for trial := 0; trial < 12; trial++ {
 			m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 9, NumPorts: 4, MaxUops: 3})
 			st, err := svc.NewState(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := plain.Evaluate(m.Clone())
+			full, err := ref.Evaluate(m.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +110,7 @@ func TestEvaluateDeltaBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := plain.Evaluate(m.Clone())
+				want, err := ref.Evaluate(m.Clone())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +133,7 @@ func TestEvaluateDeltaBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := plain.Evaluate(m.Clone())
+			want, err := ref.Evaluate(m.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,10 +142,10 @@ func TestEvaluateDeltaBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if memo.Stats().DeltaEvaluations == 0 || plain.Stats().DeltaEvaluations == 0 {
+	if fast.Stats().DeltaEvaluations == 0 || ref.Stats().DeltaEvaluations == 0 {
 		t.Error("no delta evaluations recorded")
 	}
-	if memo.Stats().DeltaExperimentsSkipped == 0 {
+	if fast.Stats().DeltaExperimentsSkipped == 0 {
 		t.Error("delta evaluation skipped no experiments on §4.1-style sets")
 	}
 }
@@ -234,18 +222,18 @@ func TestEvaluateDeltaValidation(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentEvaluation hammers one memoized service from many
+// TestMemoConcurrentEvaluation hammers one fast-path service from many
 // goroutines over a small pool of shared mappings; under -race this
-// verifies the lock-free memo and the pure fingerprint reads, and every
-// result must match the uncached reference.
+// verifies the pooled per-goroutine scratches and the pure fingerprint
+// reads, and every result must match the reference.
 func TestMemoConcurrentEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	memo, plain := newServicePair(t, rng, 8, 4)
+	fast, ref := newServicePair(t, rng, 8, 4)
 	mappings := make([]*portmap.Mapping, 6)
 	want := make([]Fitness, len(mappings))
 	for i := range mappings {
 		mappings[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 8, NumPorts: 4, MaxUops: 2})
-		f, err := plain.Evaluate(mappings[i])
+		f, err := ref.Evaluate(mappings[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,13 +246,13 @@ func TestMemoConcurrentEvaluation(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				k := (g + iter) % len(mappings)
-				got, err := memo.Evaluate(mappings[k])
+				got, err := fast.Evaluate(mappings[k])
 				if err != nil {
 					t.Errorf("Evaluate: %v", err)
 					return
 				}
 				if got != want[k] {
-					t.Errorf("concurrent memoized Evaluate diverged: %+v != %+v", got, want[k])
+					t.Errorf("concurrent Evaluate diverged: %+v != %+v", got, want[k])
 					return
 				}
 			}
@@ -278,7 +266,7 @@ func TestMemoConcurrentEvaluation(t *testing.T) {
 	for i := range pop {
 		pop[i] = mappings[i%len(mappings)]
 	}
-	if err := memo.EvaluateAll(context.Background(), pop, fits); err != nil {
+	if err := fast.EvaluateAll(context.Background(), pop, fits); err != nil {
 		t.Fatal(err)
 	}
 	for i := range pop {
@@ -411,7 +399,7 @@ func TestEvaluateDeltaErrorInvalidatesPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewService(set, ServiceOptions{MemoEntries: -1})
+	plain, err := NewService(set, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,70 +429,5 @@ func TestEvaluateDeltaErrorInvalidatesPending(t *testing.T) {
 	}
 	if fit != want {
 		t.Errorf("recovered delta %+v != full %+v", fit, want)
-	}
-}
-
-// TestAdaptiveMemoGrowth drives enough distinct candidates through an
-// auto-sized service to trigger growth, and checks that growth happened,
-// is bounded, and never changes results (bit-equality against both a
-// cache-disabled service and a pinned-size service).
-func TestAdaptiveMemoGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	_, set := measuredSet(t, rng, 12, 6)
-	auto, err := NewService(set, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := auto.Stats().MemoEntries; got != autoMemoFloor {
-		t.Fatalf("auto memo starts at %d slots, want %d", got, autoMemoFloor)
-	}
-	pinned, err := NewService(set, ServiceOptions{MemoEntries: 1 << 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned.memoAuto {
-		t.Fatal("pinned size must not adapt")
-	}
-	plain, err := NewService(set, ServiceOptions{MemoEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Each batch of distinct random mappings floods the memo with
-	// distinct keys; the window heuristic must grow the table.
-	for batch := 0; batch < 4; batch++ {
-		ms := make([]*portmap.Mapping, 48)
-		for i := range ms {
-			ms[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 12, NumPorts: 6, MaxUops: 3})
-		}
-		want := make([]Fitness, len(ms))
-		if err := plain.EvaluateAll(context.Background(), ms, want); err != nil {
-			t.Fatal(err)
-		}
-		for _, svc := range []*Service{auto, pinned} {
-			got := make([]Fitness, len(ms))
-			if err := svc.EvaluateAll(context.Background(), ms, got); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ms {
-				if got[i] != want[i] {
-					t.Fatalf("batch %d mapping %d: %+v != uncached %+v", batch, i, got[i], want[i])
-				}
-			}
-		}
-	}
-
-	st := auto.Stats()
-	if st.MemoResizes < 1 {
-		t.Errorf("auto memo never grew (misses=%d, entries=%d)", st.MemoMisses, st.MemoEntries)
-	}
-	if st.MemoEntries <= autoMemoFloor || st.MemoEntries > autoMemoCeil {
-		t.Errorf("auto memo entries = %d, want in (%d, %d]", st.MemoEntries, autoMemoFloor, autoMemoCeil)
-	}
-	if pst := pinned.Stats(); pst.MemoResizes != 0 || pst.MemoEntries != 1<<15 {
-		t.Errorf("pinned memo changed size: %+v", pst)
-	}
-	if plain.Stats().MemoEntries != 0 {
-		t.Error("disabled memo reports entries")
 	}
 }

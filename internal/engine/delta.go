@@ -70,7 +70,6 @@ func (s *Service) NewState(m *portmap.Mapping) (*FitnessState, error) {
 		return st, nil
 	}
 	st.fit = Fitness{Davg: s.davgFast(&st.sc, m, st.preds), Volume: m.Volume()}
-	s.maybeGrowMemo()
 	return st, nil
 }
 
@@ -116,14 +115,10 @@ func (s *Service) EvaluateDelta(st *FitnessState, inst int) (Fitness, error) {
 		// The scratch's derived per-instruction data is keyed by
 		// decomposition fingerprint, so the edited instruction's table
 		// rebuilds itself and everything else stays valid across probes.
-		t := s.memo.Load()
-		if t != nil {
-			st.sc.ensure(s.numInsts, st.m.NumPorts)
-		}
+		st.sc.ensure(s.numInsts, st.m.NumPorts)
 		for k, j := range touched {
-			st.pendingPreds[k] = s.predictOne(&st.sc, t, st.m, int(j))
+			st.pendingPreds[k] = s.predictOne(&st.sc, st.m, int(j))
 		}
-		s.flushMemoCounters(&st.sc)
 	}
 
 	// Re-accumulate the error sum over all experiments in order —

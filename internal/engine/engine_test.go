@@ -143,48 +143,53 @@ func (o oracle) Measure(e portmap.Experiment) (float64, error) {
 }
 
 // TestServiceMatchesDirectDavg checks the pre-flattened batched service
-// against a direct, allocating computation of Davg.
+// against a direct, allocating computation of Davg, bitwise. The port
+// counts cover both fast-path routes: subset-sum tables up to
+// maxTableFastPorts (4 and 10 ports) and the unit-term parts above it
+// (12 ports).
 func TestServiceMatchesDirectDavg(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	_, set := measuredSet(t, rng, 10, 4)
-	svc, err := NewService(set, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.NumExperiments() != len(set.Measurements) {
-		t.Fatalf("NumExperiments = %d, want %d", svc.NumExperiments(), len(set.Measurements))
-	}
-	ms := make([]*portmap.Mapping, 16)
-	for i := range ms {
-		ms[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: 4, MaxUops: 3})
-	}
-	fits := make([]Fitness, len(ms))
-	if err := svc.EvaluateAll(context.Background(), ms, fits); err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range ms {
-		want := 0.0
-		for _, meas := range set.Measurements {
-			pred := throughput.OfExperiment(m, meas.Exp)
-			want += math.Abs(pred-meas.Throughput) / meas.Throughput
-		}
-		want /= float64(len(set.Measurements))
-		if fits[i].Davg != want {
-			t.Errorf("mapping %d: Davg %g, direct %g", i, fits[i].Davg, want)
-		}
-		if fits[i].Volume != m.Volume() {
-			t.Errorf("mapping %d: Volume %d, want %d", i, fits[i].Volume, m.Volume())
-		}
-		single, err := svc.Evaluate(m)
+	for _, numPorts := range []int{4, 10, 12} {
+		_, set := measuredSet(t, rng, 10, numPorts)
+		svc, err := NewService(set, ServiceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if single != fits[i] {
-			t.Errorf("mapping %d: Evaluate %+v != EvaluateAll %+v", i, single, fits[i])
+		if svc.NumExperiments() != len(set.Measurements) {
+			t.Fatalf("%d ports: NumExperiments = %d, want %d", numPorts, svc.NumExperiments(), len(set.Measurements))
 		}
-	}
-	if got := svc.Evaluations(); got != len(ms)*2 {
-		t.Errorf("Evaluations = %d, want %d", got, len(ms)*2)
+		ms := make([]*portmap.Mapping, 16)
+		for i := range ms {
+			ms[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: numPorts, MaxUops: 3})
+		}
+		fits := make([]Fitness, len(ms))
+		if err := svc.EvaluateAll(context.Background(), ms, fits); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range ms {
+			want := 0.0
+			for _, meas := range set.Measurements {
+				pred := throughput.OfExperiment(m, meas.Exp)
+				want += math.Abs(pred-meas.Throughput) / meas.Throughput
+			}
+			want /= float64(len(set.Measurements))
+			if math.Float64bits(fits[i].Davg) != math.Float64bits(want) {
+				t.Errorf("%d ports, mapping %d: Davg %g, direct %g", numPorts, i, fits[i].Davg, want)
+			}
+			if fits[i].Volume != m.Volume() {
+				t.Errorf("%d ports, mapping %d: Volume %d, want %d", numPorts, i, fits[i].Volume, m.Volume())
+			}
+			single, err := svc.Evaluate(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if single != fits[i] {
+				t.Errorf("%d ports, mapping %d: Evaluate %+v != EvaluateAll %+v", numPorts, i, single, fits[i])
+			}
+		}
+		if got := svc.Evaluations(); got != len(ms)*2 {
+			t.Errorf("%d ports: Evaluations = %d, want %d", numPorts, got, len(ms)*2)
+		}
 	}
 }
 

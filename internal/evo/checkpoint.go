@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 
 	"pmevo/internal/cachestore"
-	"pmevo/internal/engine"
-	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
 )
 
@@ -32,10 +30,9 @@ import (
 // excluded: the trajectory through generation g is independent of the
 // budget, so a resume may extend the budget and continue — bit-identical
 // to having run with the larger budget from the start (pinned by golden
-// test). Alongside the blob, the engine's cross-generation fitness
-// cache and throughput memo are spilled; both are bit-exact
-// pure-function caches, so reloading them on resume only saves
-// recomputation.
+// test). The blob is the only file a checkpoint directory holds that
+// resume reads: cache spills that older versions wrote next to it are
+// ignored.
 //
 // Degradation contract (same as every cachestore consumer): a missing,
 // damaged, foreign, or incompatible checkpoint never fails a run —
@@ -311,15 +308,12 @@ func decodeCheckpoint(payload []byte, numInsts, numPorts int) (*ckptState, error
 // checkpointer owns the run's checkpoint writes. All methods are
 // called from the coordinator goroutine at quiesce points (generation
 // boundaries, epoch barriers, interruption, completion) — never
-// concurrently with evaluation, so cache snapshots are safe. A nil
-// checkpointer (checkpointing disabled) turns every method into a
-// no-op.
+// concurrently with evaluation. A nil checkpointer (checkpointing
+// disabled) turns every method into a no-op.
 type checkpointer struct {
 	dir      string
 	interval int // periodic cadence in generations; < 0: periodic off
 	key      uint64
-	set      *exp.Set
-	svc      *engine.Service
 	numInsts int
 	numPorts int
 	logf     func(string, ...any)
@@ -330,8 +324,7 @@ type checkpointer struct {
 
 func (c *checkpointer) enabled() bool { return c != nil && c.dir != "" }
 
-// saveState encodes and atomically lands the checkpoint blob, then
-// spills the engine's fitness cache and throughput memo next to it.
+// saveState encodes and atomically lands the checkpoint blob.
 // Failures are logged and swallowed: a lost checkpoint costs
 // re-evolution after a crash, never correctness — and the previous
 // checkpoint file, if any, survives any failed write (atomicity is
@@ -349,16 +342,6 @@ func (c *checkpointer) saveState(st *ckptState, gensDone int) {
 	}
 	c.lastSig = sig
 	c.lastGens = gensDone
-	if entries := c.svc.FitCacheSnapshot(); len(entries) > 0 {
-		if err := engine.SaveFitCache(engine.FitCachePath(c.dir), c.set, entries); err != nil {
-			c.log("fitness-cache spill failed (run continues): %v", err)
-		}
-	}
-	if entries := c.svc.MemoSnapshot(); len(entries) > 0 {
-		if err := engine.SaveMemo(engine.MemoPath(c.dir), c.set, entries); err != nil {
-			c.log("memo spill failed (run continues): %v", err)
-		}
-	}
 	c.log("checkpoint written at generation %d (%s)", gensDone, CheckpointPath(c.dir))
 }
 

@@ -1,14 +1,19 @@
 package evo
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"pmevo/internal/cachestore"
+	"pmevo/internal/cachetable"
+	"pmevo/internal/engine"
 	"pmevo/internal/faultfs"
 )
 
@@ -98,43 +103,80 @@ func cancelAt(g int) (context.Context, func(int)) {
 // TestResumeAfterInterruptBitIdenticalSingle is the tentpole golden
 // test: a single-population run interrupted mid-search and resumed from
 // its checkpoint must finish bit-identical to the uninterrupted run.
+// The stale-spills input plants, before resuming, the two cache spill
+// files older versions wrote next to the checkpoint: fitness-memo.pmc
+// as junk bytes and fitness-cache.pmc as a well-formed file in the old
+// format whose one entry claims a zero error for the uninterrupted
+// run's best mapping. Resume must ignore both.
 func TestResumeAfterInterruptBitIdenticalSingle(t *testing.T) {
 	opts := ckptOpts()
 	full := mustRun(t, opts)
+	fullJSON := mappingJSON(t, full.Best)
 
-	dir := t.TempDir()
-	iopts := opts
-	iopts.CheckpointDir = dir
-	iopts.CheckpointInterval = 3
-	ctx, hook := cancelAt(5)
-	iopts.OnGeneration = hook
-	partial, err := Run(ctx, measuredSet(t, hiddenMapping()), iopts)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("interrupted run: err = %v, want ErrCanceled", err)
+	cases := []struct {
+		name  string
+		plant func(t *testing.T, dir string)
+	}{
+		{name: "clean"},
+		{name: "stale-spills", plant: func(t *testing.T, dir string) {
+			junk := []byte("not a cache file \x00\xff\x13\x37")
+			if err := os.WriteFile(filepath.Join(dir, "fitness-memo.pmc"), junk, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Tag 5 is the retired cross-generation fitness-cache
+			// schema; the content key is the one its writer used.
+			const retiredFitCacheTag uint32 = 5
+			entries := []cachetable.Entry{{Key: full.Best.FingerprintAll(), Val: math.Float64bits(0)}}
+			set := measuredSet(t, hiddenMapping())
+			if err := cachestore.Save(filepath.Join(dir, "fitness-cache.pmc"), retiredFitCacheTag,
+				engine.ExpSetFingerprint(set), entries); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
-	if partial == nil || partial.Best == nil {
-		t.Fatal("interrupted run returned no partial result")
-	}
-	if partial.Generations != 5 {
-		t.Fatalf("interrupted at generation 5, partial reports %d", partial.Generations)
-	}
-	historyPrefix(t, "interrupted", partial, full)
-	if _, err := os.Stat(CheckpointPath(dir)); err != nil {
-		t.Fatalf("no checkpoint on disk after interruption: %v", err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			iopts := opts
+			iopts.CheckpointDir = dir
+			iopts.CheckpointInterval = 3
+			ctx, hook := cancelAt(5)
+			iopts.OnGeneration = hook
+			partial, err := Run(ctx, measuredSet(t, hiddenMapping()), iopts)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("interrupted run: err = %v, want ErrCanceled", err)
+			}
+			if partial == nil || partial.Best == nil {
+				t.Fatal("interrupted run returned no partial result")
+			}
+			if partial.Generations != 5 {
+				t.Fatalf("interrupted at generation 5, partial reports %d", partial.Generations)
+			}
+			historyPrefix(t, "interrupted", partial, full)
+			if _, err := os.Stat(CheckpointPath(dir)); err != nil {
+				t.Fatalf("no checkpoint on disk after interruption: %v", err)
+			}
+			if tc.plant != nil {
+				tc.plant(t, dir)
+			}
 
-	ropts := opts
-	ropts.CheckpointDir = dir
-	var logs []string
-	ropts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
-	resumed, err := Resume(context.Background(), measuredSet(t, hiddenMapping()), ropts)
-	if err != nil {
-		t.Fatal(err)
+			ropts := opts
+			ropts.CheckpointDir = dir
+			var logs []string
+			ropts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
+			resumed, err := Resume(context.Background(), measuredSet(t, hiddenMapping()), ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !containsLog(logs, "restored checkpoint at generation 5") {
+				t.Errorf("resume did not report restoring the generation-5 checkpoint:\n%s", strings.Join(logs, "\n"))
+			}
+			sameTrajectory(t, "resumed", resumed, full)
+			if got := mappingJSON(t, resumed.Best); !bytes.Equal(got, fullJSON) {
+				t.Errorf("resumed mapping JSON differs from the uninterrupted run:\n%s\nvs\n%s", got, fullJSON)
+			}
+		})
 	}
-	if !containsLog(logs, "restored checkpoint at generation 5") {
-		t.Errorf("resume did not report restoring the generation-5 checkpoint:\n%s", strings.Join(logs, "\n"))
-	}
-	sameTrajectory(t, "resumed", resumed, full)
 }
 
 // TestResumeAfterInterruptBitIdenticalIslands pins the same contract

@@ -35,13 +35,13 @@
 // generations the islands exchange individuals on a ring: island k's
 // best Options.MigrationCount individuals (cloned) replace island
 // (k+1 mod N)'s worst. All islands share one engine.Service — and with
-// it the lock-free throughput memo and the cross-generation fitness
-// cache — through per-island engine.BatchEvaluator handles. Because
-// islands only interact at epoch barriers (migration is applied
-// serially, collect-then-apply) and every shared cache is a bit-exact
-// memo of a pure function, a fixed Seed and a fixed Islands produce
-// bit-identical results regardless of Workers or goroutine scheduling;
-// Islands <= 1 reproduces the single-population algorithm bit-exactly.
+// it the read-only experiment set — through per-island
+// engine.BatchEvaluator handles, each owning its own evaluation scratch.
+// Because islands only interact at epoch barriers (migration is applied
+// serially, collect-then-apply) and share no mutable evaluation state,
+// a fixed Seed and a fixed Islands produce bit-identical results
+// regardless of Workers or goroutine scheduling; Islands <= 1
+// reproduces the single-population algorithm bit-exactly.
 package evo
 
 import (
@@ -52,7 +52,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"pmevo/internal/cachetable"
 	"pmevo/internal/engine"
 	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
@@ -145,26 +144,16 @@ type Options struct {
 	Engine engine.Predictor
 	// Seed makes runs reproducible.
 	Seed int64
-	// DisableCache turns off the redundancy-exploiting evaluation layer:
-	// the engine's shared throughput memo, the duplicate-candidate skip,
-	// and the incremental (delta) scoring of local-search probes — each
-	// probe is scored by a full evaluation instead. Results are
-	// bit-identical either way (pinned by test); the knob exists for
-	// benchmarking and debugging. Also forces FitnessCacheEntries off.
+	// DisableCache turns off the two work-skipping layers of the
+	// search: the duplicate-candidate skip (candidates whose
+	// whole-mapping fingerprint was already scored this generation
+	// reuse that fitness instead of being evaluated) and the delta
+	// scoring of local-search probes (each probe is scored by a full
+	// evaluation instead of engine.Service.EvaluateDelta). Results are
+	// bit-identical either way (pinned by test); only
+	// Result.FitnessEvaluations grows. The knob exists for benchmarking
+	// and debugging.
 	DisableCache bool
-	// FitnessCacheEntries bounds the engine's cross-generation fitness
-	// cache (whole-mapping fingerprint -> Davg, slots rounded up to a
-	// power of two): recurring candidates across generations — and
-	// across islands — skip evaluation entirely, where the
-	// per-generation duplicate skip only primes from the surviving
-	// population. 0 selects the default (2^16 slots); negative disables
-	// the cache. Hits return the exact floats a fresh evaluation would
-	// produce, so Best/History are bit-identical either way (pinned by
-	// test); only Result.FitnessEvaluations shrinks with the work
-	// skipped (and, with Islands > 1, may vary slightly across
-	// schedules as islands race to insert the same key — values never
-	// do). Forced off by DisableCache.
-	FitnessCacheEntries int
 	// ConvergenceEps terminates evolution when the spread of Davg in the
 	// selected population falls below it and all volumes agree.
 	ConvergenceEps float64
@@ -173,22 +162,12 @@ type Options struct {
 	// the OSACA-style validation/refinement use case of §6). Mappings
 	// must cover the instruction set with the configured port count.
 	SeedMappings []*portmap.Mapping
-	// MemoWarm seeds the engine's throughput memo with entries spilled
-	// by a previous run against the SAME experiment set
-	// (engine.LoadMemo). Bit-exact: warm entries are the floats a fresh
-	// evaluation would produce, so results never depend on the warm
-	// start. Ignored when DisableCache is set.
-	MemoWarm []cachetable.Entry
-	// SnapshotMemo captures the memo's live entries into
-	// Result.MemoSnapshot when the run completes, for persistence via
-	// engine.SaveMemo.
-	SnapshotMemo bool
 	// CheckpointDir enables crash-safe checkpointing: every
 	// CheckpointInterval generations (and at every migration barrier, on
 	// interruption, and on completion of the generational phase) the
-	// run atomically spills populations, RNG stream positions,
-	// generation counters, and the engine's fitness caches to this
-	// directory. Empty disables checkpointing.
+	// run atomically spills populations, RNG stream positions, and
+	// generation counters to this directory. Empty disables
+	// checkpointing.
 	CheckpointDir string
 	// CheckpointInterval is the periodic checkpoint cadence in
 	// generations (0: default 10; negative: periodic checkpoints off —
@@ -255,14 +234,10 @@ type Result struct {
 	FitnessEvaluations int
 	// History records per-generation statistics.
 	History []GenStats
-	// CacheStats snapshots the engine's evaluation counters (memo hits,
-	// delta evaluations, experiments skipped, disk-warm traffic) at the
-	// end of the run.
+	// CacheStats snapshots the engine's evaluation counters
+	// (evaluations, delta evaluations, experiments skipped) at the end
+	// of the run.
 	CacheStats engine.CacheStats
-	// MemoSnapshot holds the memo's live entries when
-	// Options.SnapshotMemo was set (nil otherwise), ready for
-	// engine.SaveMemo.
-	MemoSnapshot []cachetable.Entry
 }
 
 // individual carries a candidate mapping with cached objectives.
@@ -326,12 +301,11 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 	setFP := engine.ExpSetFingerprint(set)
 	ckptKey := checkpointKey(setFP, opts, plan)
 
-	// Resume restores the checkpoint (and the cache spills next to it)
-	// before the Service exists, so warm entries ride in through the
-	// service options. Every failure path cold-starts with a diagnostic.
+	// Resume restores the checkpoint before the Service exists. Every
+	// failure path cold-starts with a diagnostic. Files other than the
+	// checkpoint blob in CheckpointDir (such as cache spills written by
+	// older versions) are never read.
 	var restored *ckptState
-	fitWarm := []cachetable.Entry(nil)
-	memoWarm := opts.MemoWarm
 	if opts.Resume && opts.CheckpointDir != "" {
 		st, err := loadCheckpoint(opts.CheckpointDir, ckptKey, set.NumInsts, opts.NumPorts)
 		if err != nil {
@@ -343,34 +317,11 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 			logf("evo: resume: restored checkpoint at generation %d from %s",
 				maxGens(st), CheckpointPath(opts.CheckpointDir))
 		}
-		if !opts.DisableCache {
-			if entries, err := engine.LoadFitCache(engine.FitCachePath(opts.CheckpointDir), set); err == nil {
-				fitWarm = entries
-			}
-			if entries, err := engine.LoadMemo(engine.MemoPath(opts.CheckpointDir), set); err == nil {
-				memoWarm = append(append([]cachetable.Entry(nil), memoWarm...), entries...)
-			}
-		}
 	}
 
-	memoEntries := 0
-	fitEntries := opts.FitnessCacheEntries
-	if fitEntries == 0 {
-		fitEntries = defaultFitCacheEntries
-	}
-	if fitEntries < 0 || opts.DisableCache {
-		fitEntries = 0
-	}
-	if opts.DisableCache {
-		memoEntries = -1
-	}
 	svc, err := engine.NewService(set, engine.ServiceOptions{
-		Workers:         opts.Workers,
-		Predictor:       opts.Engine,
-		MemoEntries:     memoEntries,
-		MemoWarm:        memoWarm,
-		FitCacheEntries: fitEntries,
-		FitCacheWarm:    fitWarm,
+		Workers:   opts.Workers,
+		Predictor: opts.Engine,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evo: %w", err)
@@ -382,8 +333,6 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 			dir:      opts.CheckpointDir,
 			interval: planCheckpointInterval(opts),
 			key:      ckptKey,
-			set:      set,
-			svc:      svc,
 			numInsts: set.NumInsts,
 			numPorts: opts.NumPorts,
 			logf:     logf,
@@ -403,9 +352,6 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		res.BestVolume = b.volume
 		res.FitnessEvaluations = svc.Evaluations()
 		res.CacheStats = svc.Stats()
-		if opts.SnapshotMemo {
-			res.MemoSnapshot = svc.MemoSnapshot()
-		}
 		return res
 	}
 	if err != nil {
@@ -473,13 +419,9 @@ func validateCheckpointGeometry(st *ckptState, plan islandPlan, opts Options) er
 	return nil
 }
 
-// defaultFitCacheEntries sizes the cross-generation fitness cache when
-// Options.FitnessCacheEntries is 0; defaultMigrationInterval is the
-// epoch length when Options.MigrationInterval is 0.
-const (
-	defaultFitCacheEntries   = 1 << 16
-	defaultMigrationInterval = 5
-)
+// defaultMigrationInterval is the epoch length when
+// Options.MigrationInterval is 0.
+const defaultMigrationInterval = 5
 
 // islandPlan is the clamped island-model geometry of a run (the
 // satellite contract: nonsensical Options values are normalized here,
@@ -587,7 +529,7 @@ func runSingle(ctx context.Context, set *exp.Set, opts Options, svc *engine.Serv
 			})
 			pop = append(pop, individual{m: m})
 		}
-		if err := evaluate(ctx, svc, svc, pop, seen, dedupe); err != nil {
+		if err := evaluate(ctx, svc, pop, seen, dedupe); err != nil {
 			return individual{}, err
 		}
 	}
@@ -632,7 +574,7 @@ func runSingle(ctx context.Context, set *exp.Set, opts Options, svc *engine.Serv
 				seen[pop[i].m.FingerprintAll()] = engine.Fitness{Davg: pop[i].davg, Volume: pop[i].volume}
 			}
 		}
-		if err := evaluate(ctx, svc, svc, children, seen, dedupe); err != nil {
+		if err := evaluate(ctx, svc, children, seen, dedupe); err != nil {
 			if runctrl.Interrupted(err) {
 				// The aborted generation's children are discarded; pop is
 				// still the last boundary state, and boundaryDraws predates
@@ -710,7 +652,7 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 		return
 	}
 	if !isl.inited {
-		if err := evaluate(ctx, svc, isl.be, isl.pop, isl.seen, dedupe); err != nil {
+		if err := evaluate(ctx, isl.be, isl.pop, isl.seen, dedupe); err != nil {
 			isl.err = err
 			return
 		}
@@ -746,7 +688,7 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 				isl.seen[isl.pop[i].m.FingerprintAll()] = engine.Fitness{Davg: isl.pop[i].davg, Volume: isl.pop[i].volume}
 			}
 		}
-		if err := evaluate(ctx, svc, isl.be, children, isl.seen, dedupe); err != nil {
+		if err := evaluate(ctx, isl.be, children, isl.seen, dedupe); err != nil {
 			// Interrupted mid-batch: the aborted generation's children
 			// are discarded and the island state stays at the last
 			// boundary (gens/draws untouched). Real errors propagate.
@@ -1055,16 +997,13 @@ type batchEvaluator interface {
 // batch evaluator. With dedupe enabled, structurally equal candidates —
 // detected by whole-mapping fingerprint, within the batch and against
 // the caller-primed seen map — are evaluated once and the fitness
-// copied (bit-identical: equal mappings have equal fitness), and
-// candidates remembered by the service's cross-generation fitness cache
-// skip evaluation entirely (bit-identical: the cache stores the exact
-// Davg a fresh evaluation would produce). Newly computed fitnesses are
-// added to seen and to the cross-generation cache.
+// copied (bit-identical: equal mappings have equal fitness). Newly
+// computed fitnesses are added to seen.
 //
 // An interrupted EvaluateAll leaves the batch partially filled; the
 // error propagates and no individual is updated, so the caller's
 // population stays consistent (the aborted batch is simply discarded).
-func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds []individual, seen map[uint64]engine.Fitness, dedupe bool) error {
+func evaluate(ctx context.Context, be batchEvaluator, inds []individual, seen map[uint64]engine.Fitness, dedupe bool) error {
 	if !dedupe {
 		ms := make([]*portmap.Mapping, len(inds))
 		for i := range inds {
@@ -1093,10 +1032,6 @@ func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds 
 		if _, ok := batch[fp]; ok {
 			continue
 		}
-		if davg, ok := svc.FitnessCacheGet(fp); ok {
-			seen[fp] = engine.Fitness{Davg: davg, Volume: inds[i].m.Volume()}
-			continue
-		}
 		batch[fp] = len(uniq)
 		uniq = append(uniq, inds[i].m)
 	}
@@ -1106,7 +1041,6 @@ func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds 
 	}
 	for fp, k := range batch {
 		seen[fp] = fits[k]
-		svc.FitnessCachePut(fp, fits[k].Davg)
 	}
 	for i := range inds {
 		f := seen[fps[i]]

@@ -38,9 +38,8 @@ func prePRGoldenMapping() *portmap.Mapping {
 
 // TestGoldenSinglePopulation pins the Islands<=1 path bit-identical to
 // the pre-island-model evo.Run: mapping JSON bytes, Davg bits,
-// generation count, and — with the cross-generation fitness cache
-// disabled, the exact pre-PR configuration — the evaluation count too.
-// The golden values were captured from the pre-PR code on this seed.
+// generation count, and the evaluation count. The golden values were
+// captured from the pre-island-model code on these seeds.
 func TestGoldenSinglePopulation(t *testing.T) {
 	const goldenDavgBits = 0x3f9a41a41a41a41a
 	cases := []struct {
@@ -60,7 +59,6 @@ func TestGoldenSinglePopulation(t *testing.T) {
 			opts := smallOpts()
 			opts.Seed = tc.seed
 			opts.LocalSearch = tc.localSearch
-			opts.FitnessCacheEntries = -1 // the pre-PR service had no fitness cache
 			res, err := Run(context.Background(), set, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -79,27 +77,6 @@ func TestGoldenSinglePopulation(t *testing.T) {
 			}
 			if res.FitnessEvaluations != tc.evals {
 				t.Errorf("FitnessEvaluations = %d, want %d", res.FitnessEvaluations, tc.evals)
-			}
-
-			// The cross-generation cache must not change any result —
-			// only skip work (Islands=1, cache on vs the pinned run).
-			opts.FitnessCacheEntries = 0 // default size
-			cached, err := Run(context.Background(), set, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := mappingJSON(t, cached.Best); !bytes.Equal(got, wantJSON) {
-				t.Errorf("mapping with fitness cache diverged from golden:\ngot:\n%s", got)
-			}
-			if cached.BestError != res.BestError || cached.BestVolume != res.BestVolume ||
-				cached.Generations != res.Generations || !reflect.DeepEqual(cached.History, res.History) {
-				t.Errorf("fitness cache changed results: err %v vs %v, vol %d vs %d, gens %d vs %d",
-					cached.BestError, res.BestError, cached.BestVolume, res.BestVolume,
-					cached.Generations, res.Generations)
-			}
-			if cached.FitnessEvaluations > res.FitnessEvaluations {
-				t.Errorf("fitness cache increased evaluations: %d > %d",
-					cached.FitnessEvaluations, res.FitnessEvaluations)
 			}
 		})
 	}
@@ -182,46 +159,6 @@ func TestIslandsNoMigration(t *testing.T) {
 	}
 	if res.BestError > 0.05 {
 		t.Fatalf("best Davg = %g, want < 0.05", res.BestError)
-	}
-}
-
-// TestCrossGenCacheOnOffBitIdentical pins that the cross-generation
-// fitness cache only ever skips work: every result field except the
-// evaluation count is identical with the cache on and off, and on a
-// convergent run the cache actually hits.
-func TestCrossGenCacheOnOffBitIdentical(t *testing.T) {
-	set := measuredSet(t, hiddenMapping())
-	for _, islands := range []int{1, 3} {
-		opts := smallOpts()
-		opts.Islands = islands
-		opts.FitnessCacheEntries = -1
-		off, err := Run(context.Background(), set, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.FitnessCacheEntries = 0 // default
-		on, err := Run(context.Background(), set, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mappingJSON(t, on.Best), mappingJSON(t, off.Best)) {
-			t.Errorf("islands=%d: cache changed the result mapping", islands)
-		}
-		if math.Float64bits(on.BestError) != math.Float64bits(off.BestError) ||
-			on.BestVolume != off.BestVolume || on.Generations != off.Generations ||
-			!reflect.DeepEqual(on.History, off.History) {
-			t.Errorf("islands=%d: cache changed result stats", islands)
-		}
-		if off.CacheStats.FitCacheHits != 0 || off.CacheStats.FitCacheEntries != 0 {
-			t.Errorf("islands=%d: disabled cache reported traffic: %+v", islands, off.CacheStats)
-		}
-		if on.CacheStats.FitCacheHits == 0 {
-			t.Errorf("islands=%d: enabled cache never hit on a convergent run", islands)
-		}
-		if on.FitnessEvaluations >= off.FitnessEvaluations {
-			t.Errorf("islands=%d: cache did not reduce evaluations: %d >= %d",
-				islands, on.FitnessEvaluations, off.FitnessEvaluations)
-		}
 	}
 }
 
@@ -427,7 +364,7 @@ func TestMergeIslandStats(t *testing.T) {
 // one Service (the island configuration; run under -race in CI).
 func TestBatchEvaluatorMatchesService(t *testing.T) {
 	set := measuredSet(t, hiddenMapping())
-	svc, err := engine.NewService(set, engine.ServiceOptions{Workers: 2, FitCacheEntries: 1 << 10})
+	svc, err := engine.NewService(set, engine.ServiceOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

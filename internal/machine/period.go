@@ -22,8 +22,8 @@ import (
 // remainder r < P; Run simulates the remainder (and the window drain)
 // once and adds k-1 copies of the per-period statistic deltas. The
 // result is bit-identical to full simulation — the arithmetic is exact —
-// up to the ~2^-128 odds of a two-lane hash collision, the same regime
-// as the engine's fingerprint memo.
+// up to the ~2^-128 odds of a two-lane hash collision, far below the
+// ~2^-64 regime of the decomposition fingerprints.
 //
 // The canonical encoding:
 //

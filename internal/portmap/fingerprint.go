@@ -6,8 +6,9 @@ import "fmt"
 // 64-bit fingerprint, a hash of its canonical []UopCount form. Two
 // decompositions with the same multiset of µops have the same fingerprint;
 // distinct decompositions collide with probability ~2^-64. The engine's
-// throughput memo and the evolutionary algorithm's duplicate-candidate
-// skip treat fingerprint equality as decomposition equality.
+// per-worker subset-sum tables and the evolutionary algorithm's
+// duplicate-candidate skip treat fingerprint equality as decomposition
+// equality.
 //
 // Fingerprints are maintained eagerly by every mutating method of Mapping
 // (SetDecomp, AddUop, SetUopCount, RemoveUopAt, InsertUopAt) and copied by
@@ -31,9 +32,9 @@ func mix64(x uint64) uint64 {
 }
 
 // CombineFingerprints chains fingerprint fp into hash state h: the
-// mixing step shared by FingerprintAll and the engine's per-experiment
-// memo keys (which hash the fingerprint tuple of an experiment's
-// instructions).
+// mixing step shared by FingerprintAll and the content hashes built on
+// it (engine.ExpSetFingerprint, evolution checkpoint keys, measurement
+// cache keys).
 func CombineFingerprints(h, fp uint64) uint64 {
 	return mix64(h ^ fp)
 }
@@ -59,8 +60,8 @@ func FingerprintDecomp(uops []UopCount) uint64 {
 // absent.
 //
 // Under the `pmevodebug` build tag every cached read is verified against
-// a recomputation and panics on mismatch, catching the one way to corrupt
-// the engine's memo layer: writing Mapping.Decomp directly without
+// a recomputation and panics on mismatch, catching the one way to serve
+// a stale engine table: writing Mapping.Decomp directly without
 // calling InvalidateFingerprints. The release build skips the check (the
 // comparison would double the cost of the hottest read in the engine).
 func (m *Mapping) Fingerprint(inst int) uint64 {
