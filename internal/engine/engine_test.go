@@ -145,8 +145,8 @@ func (o oracle) Measure(e portmap.Experiment) (float64, error) {
 // TestServiceMatchesDirectDavg checks the pre-flattened batched service
 // against a direct, allocating computation of Davg, bitwise. The port
 // counts cover both fast-path routes: subset-sum tables up to
-// maxTableFastPorts (4 and 10 ports) and the unit-term parts above it
-// (12 ports).
+// throughput.MaxUnitTablePorts (4 and 10 ports) and the unit-term parts
+// above it (12 ports).
 func TestServiceMatchesDirectDavg(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, numPorts := range []int{4, 10, 12} {

@@ -99,12 +99,6 @@ type Service struct {
 	deltaSkipped atomic.Int64
 }
 
-// maxTableFastPorts gates the per-instruction subset-sum-table fast
-// path: tables have 2^|P| entries per instruction, so the path is
-// restricted to realistic port counts (the paper's machines have ≤ 10).
-// Wider mappings fall back to the pre-flattened-terms path.
-const maxTableFastPorts = 11
-
 // evalScratch is one worker's reusable evaluation state: the throughput
 // evaluator plus per-instruction derived data — subset-sum unit tables
 // and pre-flattened unit mass terms — keyed by decomposition
@@ -115,12 +109,11 @@ const maxTableFastPorts = 11
 type evalScratch struct {
 	ev throughput.Evaluator
 
-	k       int      // port count the tables are built for
-	tblFp   []uint64 // fingerprint each table was built from (0: none)
-	tblUsed []portmap.PortSet
-	tblInf  []bool
-	tables  [][]float64
-	tparts  []throughput.TablePart
+	k      int      // port count the tables are built for
+	tblFp  []uint64 // fingerprint each table was built from (0: none)
+	tblInf []bool
+	tables [][]float64 // per instruction: 2^k table entries, then k+1 class maxima
+	tparts []throughput.TablePart
 
 	unitFp []uint64 // fingerprint each unit-term list was built from
 	unit   [][]portmap.MassTerm
@@ -132,7 +125,6 @@ type evalScratch struct {
 func (sc *evalScratch) ensure(numInsts, numPorts int) {
 	if len(sc.tblFp) < numInsts {
 		sc.tblFp = make([]uint64, numInsts)
-		sc.tblUsed = make([]portmap.PortSet, numInsts)
 		sc.tblInf = make([]bool, numInsts)
 		sc.tables = make([][]float64, numInsts)
 		sc.unitFp = make([]uint64, numInsts)
@@ -144,25 +136,23 @@ func (sc *evalScratch) ensure(numInsts, numPorts int) {
 	}
 }
 
-// tableFor returns instruction inst's unit subset-sum table under m (as
-// a ready TablePart minus the scale), rebuilding it only if the cached
-// table was built from a different decomposition.
+// tableFor returns instruction inst's unit subset-sum table and class
+// maxima under m (as a ready TablePart minus the scale), rebuilding them
+// only if the cached table was built from a different decomposition.
 func (sc *evalScratch) tableFor(m *portmap.Mapping, inst, size int) throughput.TablePart {
 	fp := m.Fingerprint(inst)
-	if sc.tblFp[inst] == fp {
-		return throughput.TablePart{Table: sc.tables[inst], Used: sc.tblUsed[inst], Inf: sc.tblInf[inst]}
+	buf := sc.tables[inst]
+	if sc.tblFp[inst] != fp {
+		if n := size + sc.k + 1; cap(buf) < n {
+			buf = make([]float64, n)
+		} else {
+			buf = buf[:n]
+		}
+		sc.tblInf[inst] = throughput.BuildUnitTable(buf[:size], buf[size:], m.Decomp[inst], sc.k)
+		sc.tables[inst] = buf
+		sc.tblFp[inst] = fp
 	}
-	t := sc.tables[inst]
-	if cap(t) < size {
-		t = make([]float64, size)
-	}
-	t = t[:size]
-	used, inf := throughput.BuildUnitTable(t, m.Decomp[inst], sc.k)
-	sc.tables[inst] = t
-	sc.tblFp[inst] = fp
-	sc.tblUsed[inst] = used
-	sc.tblInf[inst] = inf
-	return throughput.TablePart{Table: t, Used: used, Inf: inf}
+	return throughput.TablePart{Table: buf[:size], Max: buf[size:], Inf: sc.tblInf[inst]}
 }
 
 // unitFor returns instruction inst's pre-flattened unit mass terms (its
@@ -262,11 +252,11 @@ func (s *Service) experiment(i int) portmap.Experiment {
 
 // predictOne predicts experiment i under m on the fast path: through
 // the per-instruction subset-sum tables in sc for up to
-// maxTableFastPorts ports, and through the pre-flattened unit terms for
-// wider port universes. sc must have been ensured for m. Both routes are
-// bit-identical to ThroughputOf.
+// throughput.MaxUnitTablePorts ports, and through the pre-flattened unit
+// terms for wider port universes. sc must have been ensured for m. Both
+// routes are bit-identical to ThroughputOf.
 func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64 {
-	if m.NumPorts <= maxTableFastPorts {
+	if m.NumPorts <= throughput.MaxUnitTablePorts {
 		size := 1 << uint(m.NumPorts)
 		sc.tparts = sc.tparts[:0]
 		for _, t := range s.experiment(i) {
@@ -274,7 +264,7 @@ func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64
 			part.Scale = float64(t.Count)
 			sc.tparts = append(sc.tparts, part)
 		}
-		return sc.ev.BottleneckTables(sc.tparts, m.NumPorts)
+		return throughput.BottleneckTables(sc.tparts, m.NumPorts)
 	}
 	sc.parts = sc.parts[:0]
 	for _, t := range s.experiment(i) {

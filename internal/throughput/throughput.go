@@ -364,7 +364,13 @@ func (ev *Evaluator) bottleneckTable(used portmap.PortSet, k int) float64 {
 			maxSum[c] = sums[q]
 		}
 	}
-	return divideMaxima(&maxSum, k)
+	best := 0.0
+	for c := 1; c <= k; c++ {
+		if v := maxSum[c] / float64(c); v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // bottleneckUnion enumerates subsets of the merged µop masks in
