@@ -448,11 +448,9 @@ func BenchmarkMeasurementNoCache(b *testing.B) { benchMeasurement(b, true) }
 func benchMeasurement(b *testing.B, baseline bool) {
 	measurements := 0
 	for i := 0; i < b.N; i++ {
-		// Cold cache per iteration: the kernel cache is process-wide, so
-		// without a flush the fast variant would replay hits paid for by
-		// earlier benchmarks (or the previous iteration) and stop
-		// measuring the simulation fast path.
-		measure.FlushSimCache()
+		// Cold cache per iteration: DefaultOptions gives each harness a
+		// fresh one, so the fast variant never replays hits paid for by
+		// earlier benchmarks (or the previous iteration).
 		proc := uarch.SKL()
 		if baseline {
 			proc.Config.PeriodDetectBudget = machine.PeriodDetectDisabled
@@ -460,7 +458,9 @@ func benchMeasurement(b *testing.B, baseline bool) {
 		}
 		sub, ids := subsetISA(b, proc, 2)
 		mopts := measure.DefaultOptions()
-		mopts.DisableSimCache = baseline
+		if baseline {
+			mopts.SimCache = nil
+		}
 		h, err := measure.NewHarness(proc, mopts)
 		if err != nil {
 			b.Fatal(err)

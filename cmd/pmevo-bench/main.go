@@ -20,12 +20,13 @@
 // dump; running it with -engine=lp and -engine=bottleneck must produce
 // identical output (up to 1e-9) on the Table 1 configurations.
 //
-// -cache-dir warm-starts the persistent measurement caches: the
-// kernel-simulation cache and period hints are loaded before any
-// experiment runs and spilled on exit. A second invocation with the
-// same -cache-dir reports disk-warm hit rates; results are
-// bit-identical to cold runs (the caches hold pure functions of their
-// keys).
+// All drivers of one invocation measure through one kernel-simulation
+// cache (eval.Scale.SimCache). -cache-dir persists the measure
+// experiment's caches: each of its fast runs loads the kernel cache and
+// period hints from the directory and spills them back. A second
+// invocation with the same -cache-dir reports disk-warm hit rates;
+// results are bit-identical to cold runs (the caches hold pure
+// functions of their keys).
 //
 // -json writes one machine-readable BENCH_<experiment>.json per
 // experiment, so the performance trajectory of the repository can be
@@ -50,8 +51,6 @@ import (
 
 	"pmevo/internal/engine"
 	"pmevo/internal/eval"
-	"pmevo/internal/lifecycle"
-	"pmevo/internal/measure"
 )
 
 // benchRecord is the schema of a BENCH_*.json file. WallSeconds is the
@@ -74,7 +73,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write CSV result files into (optional)")
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_*.json records into (optional)")
 	cacheDir := flag.String("cache-dir", "",
-		"directory for persistent warm-start caches (kernel-simulation cache, period hints); loaded at start, spilled at exit")
+		"directory for the persistent kernel-simulation cache and period hints of -exp measure; each fast run loads it and spills back to it")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -92,49 +91,11 @@ func main() {
 	scale.Seed = *seed
 
 	progress := func(msg string) { fmt.Fprintf(os.Stderr, "[pmevo-bench] %s\n", msg) }
-	logf := func(format string, args ...any) { progress(fmt.Sprintf(format, args...)) }
-
-	// Warm-start: seed the process-wide kernel-simulation cache from the
-	// previous invocation's spill before any driver measures, and spill
-	// it again on exit — including error exits (fatalf), so a late
-	// driver failure cannot discard simulation work earlier drivers paid
-	// for. Load never fails into results — a missing or damaged file
-	// just cold-starts.
 	ctx := context.Background()
-	if *cacheDir != "" {
-		measure.WarmStartSimCache(*cacheDir, logf)
-		spillOnExit = func() { measure.SpillSimCache(*cacheDir, logf) }
-		defer spillOnExit()
-		// SIGINT/SIGTERM spill the caches before exiting (mirroring the
-		// fatalf path): a benchmark run has no resumable state, but the
-		// simulation work it paid for should survive the interruption.
-		stopSignals := lifecycle.OnSignalSpill(func() {
-			logf("interrupted; spilling caches")
-			spillOnExit()
-		})
-		defer stopSignals()
-	}
-
-	// Per-driver attribution of the shared kernel cache (the cache is
-	// process-wide, so a later driver's raw hit counters would be
-	// inflated by entries earlier drivers paid for): each BENCH record
-	// carries the snapshot-and-subtract delta of the process counters
-	// since the previous record.
-	lastSimStats := measure.ProcessCacheStats()
 
 	// record writes one BENCH_*.json; engineName is empty for
 	// experiments the -engine flag does not influence.
 	record := func(name, engineName string, start time.Time, metrics map[string]float64) {
-		now := measure.ProcessCacheStats()
-		if delta := now.Sub(lastSimStats); delta != (measure.CacheStats{}) {
-			if metrics == nil {
-				metrics = map[string]float64{}
-			}
-			metrics["driver_sim_hits"] = float64(delta.SimHits)
-			metrics["driver_sim_misses"] = float64(delta.SimMisses)
-			metrics["driver_sim_warm_hits"] = float64(delta.SimWarmHits)
-		}
-		lastSimStats = now
 		writeBenchJSON(*jsonDir, benchRecord{
 			Experiment:  name,
 			Scale:       *scaleFlag,
@@ -197,7 +158,7 @@ func main() {
 	if want["measure"] {
 		progress("running measurement benchmark (fast path vs brute-force simulation)")
 		start := time.Now()
-		res, err := eval.RunMeasureBench(ctx, scale, *cacheDir)
+		res, err := eval.RunMeasureBench(ctx, scale, *cacheDir, progress)
 		if err != nil {
 			fatalf("measure: %v", err)
 		}
@@ -408,15 +369,7 @@ func writeCSV(dir, name string, write func(w io.Writer) error) {
 	fmt.Fprintf(os.Stderr, "[pmevo-bench] wrote %s\n", path)
 }
 
-// spillOnExit persists the kernel cache on error exits too (deferred
-// saves never run past os.Exit); the cached values are pure, so a spill
-// taken mid-failure is as valid as one taken at success.
-var spillOnExit func()
-
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "pmevo-bench: "+format+"\n", args...)
-	if spillOnExit != nil {
-		spillOnExit()
-	}
 	os.Exit(1)
 }

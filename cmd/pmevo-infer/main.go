@@ -22,7 +22,6 @@ import (
 	"pmevo/internal/evo"
 	"pmevo/internal/export"
 	"pmevo/internal/lifecycle"
-	"pmevo/internal/measure"
 	"pmevo/internal/portmap"
 	"pmevo/internal/throughput"
 )
@@ -42,7 +41,7 @@ func main() {
 		"emigrants per island per migration (0: default; negative: no migration); ignored with -islands <= 1")
 	formsPerClass := flag.Int("forms-per-class", 3, "instruction forms per semantic class (0: all forms)")
 	cacheDir := flag.String("cache-dir", "",
-		"directory for the persistent kernel-simulation cache; loaded before measurement, spilled on success")
+		"directory for the persistent kernel-simulation cache and period hints; loaded before measurement, spilled on exit")
 	deadline := flag.Duration("deadline", 0,
 		"abort the run after this duration, checkpointing first (0 or negative: no deadline)")
 	checkpointDir := flag.String("checkpoint-dir", "",
@@ -83,11 +82,23 @@ func main() {
 	// steady-state cycles of each kernel are a pure function of the
 	// machine and body, so reloading them changes timing but never the
 	// inferred mapping (a damaged or missing file just cold-starts). The
-	// spill also runs on error exits (fatalf), so a failure after
-	// measurement keeps the simulated kernels.
+	// spill runs once, on whichever exit comes first: success,
+	// interruption (SIGINT/SIGTERM and -deadline cancel ctx), or an error
+	// exit (fatalf), so a failure after measurement keeps the simulated
+	// kernels.
 	if *cacheDir != "" {
-		measure.WarmStartSimCache(*cacheDir, logf)
-		spillOnExit = func() { measure.SpillSimCache(*cacheDir, logf) }
+		kernels, hints, err := scale.SimCache.Load(*cacheDir)
+		logf("loaded %d kernel-cache entries and %d period hints from %s", kernels, hints, *cacheDir)
+		if err != nil {
+			logf("cold start for the rest (%v)", err)
+		}
+		spillOnExit = func() {
+			if err := scale.SimCache.Spill(*cacheDir); err != nil {
+				logf("spill kernel cache: %v", err)
+			} else {
+				logf("spilled kernel cache and period hints to %s", *cacheDir)
+			}
+		}
 	}
 
 	start := time.Now()
@@ -104,9 +115,7 @@ func main() {
 			// the partial mapping is deliberately NOT written: an
 			// interrupted run must never be mistaken for a finished one.
 			// Exit code 3 distinguishes interruption from failure (1).
-			if *cacheDir != "" {
-				measure.SpillSimCache(*cacheDir, logf)
-			}
+			spill()
 			logf("interrupted: %v", err)
 			if *checkpointDir != "" {
 				logf("run state checkpointed; rerun with -resume -checkpoint-dir %s to continue", *checkpointDir)
@@ -120,9 +129,8 @@ func main() {
 	res := run.Result
 
 	if *cacheDir != "" {
-		measure.SpillSimCache(*cacheDir, logf)
-		spillOnExit = nil // spilled; later failures need not repeat it
-		st := measure.ProcessCacheStats()
+		spill()
+		st := run.Harness.CacheStats()
 		logf("kernel cache: %d hits (%d disk-warm), %d misses",
 			st.SimHits, st.SimWarmHits, st.SimMisses)
 	}
@@ -205,9 +213,17 @@ func abs(x float64) float64 {
 	return x
 }
 
-// spillOnExit persists the kernel cache when fatalf aborts after
-// measurement already ran (deferred saves never run past os.Exit).
+// spillOnExit persists the kernel cache (nil without -cache-dir, or once
+// spilled). Every exit path calls spill, because deferred saves never
+// run past os.Exit.
 var spillOnExit func()
+
+func spill() {
+	if spillOnExit != nil {
+		spillOnExit()
+		spillOnExit = nil
+	}
+}
 
 func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "[pmevo-infer] "+format+"\n", args...)
@@ -215,8 +231,6 @@ func logf(format string, args ...any) {
 
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "pmevo-infer: "+format+"\n", args...)
-	if spillOnExit != nil {
-		spillOnExit()
-	}
+	spill()
 	os.Exit(1)
 }

@@ -115,14 +115,26 @@ func main() {
 		logf := func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[pmevo-sim] "+format+"\n", args...)
 		}
+		mopts := measure.DefaultOptions()
+		spill := func() {}
 		if *cacheDir != "" {
-			measure.WarmStartSimCache(*cacheDir, logf)
+			kernels, hints, err := mopts.SimCache.Load(*cacheDir)
+			logf("loaded %d kernel-cache entries and %d period hints from %s", kernels, hints, *cacheDir)
+			if err != nil {
+				logf("cold start for the rest (%v)", err)
+			}
+			spill = func() {
+				if err := mopts.SimCache.Spill(*cacheDir); err != nil {
+					logf("spill kernel cache: %v", err)
+				} else {
+					logf("spilled kernel cache and period hints to %s", *cacheDir)
+				}
+			}
 			// SIGINT/SIGTERM between warm-start and the normal spill
-			// persists whatever simulations completed (mirroring
-			// pmevo-bench's spill-on-signal path).
+			// persists whatever simulations completed.
 			stopSignals := lifecycle.OnSignalSpill(func() {
 				logf("interrupted; spilling kernel cache")
-				measure.SpillSimCache(*cacheDir, logf)
+				spill()
 			})
 			defer stopSignals()
 		}
@@ -134,7 +146,7 @@ func main() {
 			}
 			full[i] = portmap.InstCount{Inst: f.ID, Count: t.Count}
 		}
-		h, err := measure.NewHarness(proc, measure.DefaultOptions())
+		h, err := measure.NewHarness(proc, mopts)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -143,13 +155,12 @@ func main() {
 			fatalf("measure: %v", err)
 		}
 		fmt.Printf("throughput (virtual %s, median of %d noisy runs): %.4g cycles per experiment instance\n",
-			*procName, measure.DefaultOptions().Repetitions, mtp)
+			*procName, mopts.Repetitions, mtp)
 		// Show how the simulator earned the number: one diagnostic run
 		// of the measured loop reports the fast paths' engagement (the
 		// detected steady-state period and the dead cycles fast-forwarded
 		// past). Both are diagnostic metadata — results are bit-identical
 		// with either fast path disabled.
-		opts := measure.DefaultOptions()
 		body, _, err := h.BuildLoop(full)
 		if err != nil {
 			fatalf("%v", err)
@@ -158,15 +169,13 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		diag, err := mach.Run(body, opts.WarmupIters+opts.MeasureIters)
+		diag, err := mach.Run(body, mopts.WarmupIters+mopts.MeasureIters)
 		if err != nil {
 			fatalf("simulate: %v", err)
 		}
 		fmt.Printf("simulator: %d cycles, detected period %d cycles / %d iterations, %d dead cycles skipped\n",
 			diag.Cycles, diag.DetectedPeriod, diag.DetectedPeriodIters, diag.SkippedCycles)
-		if *cacheDir != "" {
-			measure.SpillSimCache(*cacheDir, logf)
-		}
+		spill()
 	}
 
 	fmt.Printf("\n")

@@ -301,12 +301,3 @@ func LoadBlob(path string, schema uint32, contentKey uint64) ([]byte, error) {
 func SaveTable(path string, schema uint32, contentKey uint64, t *cachetable.Table) error {
 	return Save(path, schema, contentKey, t.Snapshot())
 }
-
-// LoadTable reloads a spilled file into a table, returning the number
-// of entries stored and the empty-load diagnostic (see Load). Entries
-// land with overwrite-on-collision semantics, so the table's bound
-// holds regardless of the file's size.
-func LoadTable(path string, schema uint32, contentKey uint64, t *cachetable.Table) (int, error) {
-	entries, err := Load(path, schema, contentKey)
-	return t.LoadEntries(entries), err
-}

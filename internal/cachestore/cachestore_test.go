@@ -254,10 +254,13 @@ func TestTableRoundTrip(t *testing.T) {
 	if err := SaveTable(path, SchemaSimCache, 7, src); err != nil {
 		t.Fatal(err)
 	}
+	entries, err := Load(path, SchemaSimCache, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dst := cachetable.New(1 << 10)
-	n, err := LoadTable(path, SchemaSimCache, 7, dst)
-	if err != nil || n == 0 {
-		t.Fatalf("LoadTable = %d, %v", n, err)
+	if n := dst.LoadEntries(entries); n != len(entries) || n == 0 {
+		t.Fatalf("LoadEntries stored %d of %d entries", n, len(entries))
 	}
 	for _, e := range src.Snapshot() {
 		if v, ok := dst.Get(e.Key); !ok || v != e.Val {

@@ -77,18 +77,6 @@ func (t *Table) Put(key, val uint64) {
 	e.val.Store(val)
 }
 
-// Clear drops every entry. Zeroed slots read as misses for all valid
-// (non-zero) keys, so clearing is safe even while readers are active —
-// a concurrent Get sees either the old entry or a miss. Benchmark
-// drivers use this to time cold-cache behavior; results are unaffected
-// (the table caches a pure function).
-func (t *Table) Clear() {
-	for i := range t.entries {
-		t.entries[i].tag.Store(0)
-		t.entries[i].val.Store(0)
-	}
-}
-
 // Entry is one live (key, value) pair, the unit of the snapshot/load API
 // that internal/cachestore persists to disk.
 type Entry struct {

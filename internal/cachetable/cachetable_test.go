@@ -35,7 +35,7 @@ func TestNewClampsSize(t *testing.T) {
 	}
 }
 
-func TestGetPutClear(t *testing.T) {
+func TestGetPut(t *testing.T) {
 	tab := New(MinEntries)
 	if _, ok := tab.Get(42); ok {
 		t.Fatal("empty table reported a hit")
@@ -52,10 +52,6 @@ func TestGetPutClear(t *testing.T) {
 	}
 	if v, ok := tab.Get(collide); !ok || v != 7 {
 		t.Fatalf("Get(collide) = %v, %v; want 7, true", v, ok)
-	}
-	tab.Clear()
-	if _, ok := tab.Get(collide); ok {
-		t.Fatal("cleared table reported a hit")
 	}
 }
 

@@ -140,6 +140,7 @@ func (s *Suite) Accuracy(ctx context.Context, progress func(string)) (*AccuracyR
 		// A fresh harness keeps Table 2's measurement accounting clean.
 		mopts := measure.DefaultOptions()
 		mopts.Seed = s.Scale.Seed + 100
+		mopts.SimCache = s.Scale.SimCache
 		h, err := measure.NewHarness(proc, mopts)
 		if err != nil {
 			return nil, err

@@ -229,7 +229,7 @@ func TestFigure8ShapesAndCrossCheck(t *testing.T) {
 // enforced inside the driver — bit-identical measurements between the
 // fast path and the brute-force baseline.
 func TestMeasureBenchArchBitExact(t *testing.T) {
-	row, err := runMeasureBenchArch(context.Background(), "A72", QuickScale(), "")
+	row, err := runMeasureBenchArch(context.Background(), "A72", QuickScale(), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

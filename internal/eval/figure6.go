@@ -34,6 +34,7 @@ func RunFigure6(ctx context.Context, scale Scale) (*Figure6Result, error) {
 	proc := uarch.SKL()
 	mopts := measure.DefaultOptions()
 	mopts.Seed = scale.Seed
+	mopts.SimCache = scale.SimCache
 	h, err := measure.NewHarness(proc, mopts)
 	if err != nil {
 		return nil, err

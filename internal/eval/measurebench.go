@@ -22,16 +22,15 @@ import (
 // measured throughputs are bit-identical by construction — RunMeasureBench
 // verifies this — so the pair quantifies pure measurement speedup.
 //
-// With WarmStart set (pmevo-bench -cache-dir), the fast runs additionally
-// start from whatever the kernel cache already holds — typically a spill
-// file loaded by measure.LoadSimCache — instead of being flushed to a
-// cold cache, and report the disk-warm subset of their hits. The
-// baseline runs bypass the cache entirely either way, so the bit-equality
-// check also pins warm results identical to cold ones.
+// Each fast run measures through a fresh measure.SimCache. With
+// WarmStart set (pmevo-bench -cache-dir), that cache is first loaded
+// from the directory's spill files, and the run reports the disk-warm
+// subset of its hits. The baseline runs measure uncached either way, so
+// the bit-equality check also pins warm results identical to cold ones.
 type MeasureBenchResult struct {
 	Archs []MeasureBenchArch
-	// WarmStart records whether the fast runs kept (rather than flushed)
-	// the pre-existing kernel-cache contents.
+	// WarmStart records whether the fast runs loaded their caches from
+	// a cache directory.
 	WarmStart bool
 }
 
@@ -82,18 +81,20 @@ func (r *MeasureBenchResult) Speedup() float64 {
 // processors at the given scale, fast path versus baseline, and errors
 // if the two produce different measurements anywhere (the fast path must
 // be bit-exact). A non-empty cacheDir selects disk-warm timing: each
-// fast run starts from exactly the directory's spill file (flush, then
-// reload — entries seeded by earlier drivers in the same process are
-// dropped, so hit rates stay attributable) and re-spills the cache
-// afterwards, so every arch's kernels persist even if a later arch
-// fails.
-func RunMeasureBench(ctx context.Context, scale Scale, cacheDir string) (*MeasureBenchResult, error) {
+// fast run's fresh cache starts from exactly the directory's spill
+// files and is spilled back afterwards, so every arch's kernels persist
+// even if a later arch fails. progress, if non-nil, receives the
+// diagnostic of each load that left part of a cache cold.
+func RunMeasureBench(ctx context.Context, scale Scale, cacheDir string, progress func(string)) (*MeasureBenchResult, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
+	if progress == nil {
+		progress = func(string) {}
+	}
 	res := &MeasureBenchResult{WarmStart: cacheDir != ""}
 	for _, name := range []string{"SKL", "ZEN", "A72"} {
-		arch, err := runMeasureBenchArch(ctx, name, scale, cacheDir)
+		arch, err := runMeasureBenchArch(ctx, name, scale, cacheDir, progress)
 		if err != nil {
 			return nil, fmt.Errorf("measure bench %s: %w", name, err)
 		}
@@ -102,7 +103,7 @@ func RunMeasureBench(ctx context.Context, scale Scale, cacheDir string) (*Measur
 	return res, nil
 }
 
-func runMeasureBenchArch(ctx context.Context, name string, scale Scale, cacheDir string) (MeasureBenchArch, error) {
+func runMeasureBenchArch(ctx context.Context, name string, scale Scale, cacheDir string, progress func(string)) (MeasureBenchArch, error) {
 	// The benchmark keeps at least two forms per semantic class: the
 	// paper's form sets (310/390 forms over a few dozen classes) are
 	// dominated by same-class forms with identical execution behaviour,
@@ -114,21 +115,19 @@ func runMeasureBenchArch(ctx context.Context, name string, scale Scale, cacheDir
 		perClass = 2
 	}
 	run := func(baseline bool) (MeasureBenchRun, *exp.Set, int, error) {
-		// Known cache state: earlier experiments in the same process
-		// (the pipeline suite, figure 6) measure overlapping kernels on
-		// the same machines; without a flush the fast run would be
-		// served hits it did not pay for and the recorded speedup would
-		// depend on invocation order. Disk-warm timing flushes too, then
-		// reloads exactly the spill file, so every hit beyond it is paid
-		// for in-run and the disk's contribution is attributed via
-		// SimWarmHits. The baseline bypasses the cache either way.
-		measure.FlushSimCache()
-		if cacheDir != "" {
-			if _, err := measure.LoadSimCache(measure.SimCachePath(cacheDir)); err != nil {
-				// Cold start: the spill is absent or stale. Re-flush so a
-				// partially applied load cannot skew the warm-hit
-				// attribution; the in-run measurements repay the cache.
-				measure.FlushSimCache()
+		// Known cache state: a fresh cache, so simulations paid for
+		// earlier in the process (the pipeline suite, figure 6) cannot
+		// serve this run hits, and the recorded speedup does not depend
+		// on invocation order. Disk-warm timing loads exactly the spill
+		// files, so every hit beyond them is paid for in-run and the
+		// disk's contribution is attributed via SimWarmHits.
+		var cache *measure.SimCache
+		if !baseline {
+			cache = measure.NewSimCache()
+			if cacheDir != "" {
+				if _, _, err := cache.Load(cacheDir); err != nil {
+					progress(fmt.Sprintf("%s: kernel cache partly cold (%v)", name, err))
+				}
 			}
 		}
 		proc, err := uarch.ByName(name)
@@ -145,7 +144,7 @@ func runMeasureBenchArch(ctx context.Context, name string, scale Scale, cacheDir
 		}
 		mopts := measure.DefaultOptions()
 		mopts.Seed = scale.Seed
-		mopts.DisableSimCache = baseline
+		mopts.SimCache = cache
 		h, err := measure.NewHarness(proc, mopts)
 		if err != nil {
 			return MeasureBenchRun{}, nil, 0, err
@@ -167,21 +166,21 @@ func runMeasureBenchArch(ctx context.Context, name string, scale Scale, cacheDir
 		if secs > 0 {
 			out.PerSec = float64(out.Measurements) / secs
 		}
+		if cache != nil && cacheDir != "" {
+			// Spill now: the cache holds the disk entries plus this
+			// arch's new simulations, which then persist even if a later
+			// arch fails. Entries are pure functions of their keys, so
+			// spilling mid-benchmark can never affect results.
+			if err := cache.Spill(cacheDir); err != nil {
+				return MeasureBenchRun{}, nil, 0, fmt.Errorf("spill kernel cache: %w", err)
+			}
+		}
 		return out, set, sub.NumForms(), nil
 	}
 
 	fast, fastSet, forms, err := run(false)
 	if err != nil {
 		return MeasureBenchArch{}, err
-	}
-	if cacheDir != "" {
-		// Spill immediately: the cache now holds the disk entries plus
-		// this arch's newly simulated kernels, and the next arch's run
-		// flushes. Entries are pure functions of their keys, so spilling
-		// mid-benchmark can never affect results.
-		if err := measure.SaveSimCache(measure.SimCachePath(cacheDir)); err != nil {
-			return MeasureBenchArch{}, fmt.Errorf("spill kernel cache: %w", err)
-		}
 	}
 	base, baseSet, _, err := run(true)
 	if err != nil {
@@ -220,6 +219,7 @@ func (r *MeasureBenchResult) Render() string {
 		if r.WarmStart {
 			warm = fmt.Sprintf(" warm=%d", a.Fast.SimWarmHits)
 		}
+
 		fmt.Fprintf(&b, "%-4s %3d forms %5d experiments  fast %8.3fs (%7.0f meas/s, hits=%d misses=%d%s)  baseline %8.3fs  speedup %.2fx\n",
 			a.Arch, a.Forms, a.Experiments,
 			a.Fast.Seconds, a.Fast.PerSec, a.Fast.SimHits, a.Fast.SimMisses, warm,

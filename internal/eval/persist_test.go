@@ -2,29 +2,24 @@ package eval
 
 import (
 	"context"
+	"strings"
 	"testing"
-
-	"pmevo/internal/measure"
 )
 
 // TestMeasureBenchWarmStartRoundTrip is the driver-level pin of the
 // acceptance criterion: a measurement bench warm-started from a spill
 // file written by an earlier ("cold") invocation must report a nonzero
 // disk-warm hit rate and — enforced inside the driver against the
-// brute-force baseline — bit-identical measurements. The fresh process
-// is simulated by flushing the in-memory cache between the two phases.
+// brute-force baseline — bit-identical measurements. Each run measures
+// through its own fresh cache, so the second one stands for a new
+// process.
 func TestMeasureBenchWarmStartRoundTrip(t *testing.T) {
 	scale := QuickScale()
 	dir := t.TempDir()
+	var logged []string
+	progress := func(msg string) { logged = append(logged, msg) }
 
-	// Pollute the process-wide cache: entries earlier drivers paid for
-	// must not leak into the benchmark's attribution (the driver
-	// flushes and reloads exactly the spill file).
-	if _, err := runMeasureBenchArch(context.Background(), "A72", scale, ""); err != nil {
-		t.Fatal(err)
-	}
-
-	cold, err := runMeasureBenchArch(context.Background(), "A72", scale, dir) // no spill file yet
+	cold, err := runMeasureBenchArch(context.Background(), "A72", scale, dir, progress) // no spill file yet
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +27,19 @@ func TestMeasureBenchWarmStartRoundTrip(t *testing.T) {
 		t.Fatalf("cold run reported %d disk-warm hits", cold.Fast.SimWarmHits)
 	}
 	if cold.Fast.SimMisses == 0 {
-		t.Fatal("cold run paid for nothing; pollution from the earlier run leaked in")
+		t.Fatal("cold run paid for nothing")
 	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "no cache file") {
+		t.Fatalf("cold run logged %q, want one missing-file diagnostic", logged)
+	}
+	logged = nil
 
-	measure.FlushSimCache() // "new process"
-	warm, err := runMeasureBenchArch(context.Background(), "A72", scale, dir)
+	warm, err := runMeasureBenchArch(context.Background(), "A72", scale, dir, progress)
 	if err != nil {
 		t.Fatal(err) // includes the in-driver fast-vs-baseline bit-equality check
 	}
-	if warm.Fast.SimWarmHits == 0 {
-		t.Error("warm run reported no disk-warm hits")
+	if warm.Fast.SimWarmHits == 0 || len(logged) != 0 {
+		t.Errorf("warm run reported %d disk-warm hits (logged %q)", warm.Fast.SimWarmHits, logged)
 	}
 	// The direct-mapped table drops slot-colliding keys, so the spill is
 	// not a complete kernel set — but the warm start must eliminate the
@@ -50,5 +48,4 @@ func TestMeasureBenchWarmStartRoundTrip(t *testing.T) {
 		t.Errorf("warm run misses %d not well below cold misses %d",
 			warm.Fast.SimMisses, cold.Fast.SimMisses)
 	}
-	measure.FlushSimCache() // leave no warm state behind for other tests
 }

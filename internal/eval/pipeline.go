@@ -60,6 +60,7 @@ func RunPipeline(ctx context.Context, procName string, scale Scale) (*PipelineRu
 
 	mopts := measure.DefaultOptions()
 	mopts.Seed = scale.Seed
+	mopts.SimCache = scale.SimCache
 	h, err := measure.NewHarness(proc, mopts)
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"pmevo/internal/isa"
+	"pmevo/internal/measure"
 )
 
 // Scale controls the size of every experiment.
@@ -68,6 +69,11 @@ type Scale struct {
 	// the evolutionary search (Printf-style). Purely informational —
 	// never part of the trajectory. Nil means silent.
 	Log func(format string, args ...any)
+	// SimCache is the kernel-simulation cache every harness a driver
+	// builds measures through, so drivers run on one Scale share
+	// simulations. The constructors set a fresh one; nil measures
+	// uncached. Results are bit-identical either way.
+	SimCache *measure.SimCache
 	// Seed derives all pseudo-random choices.
 	Seed int64
 }
@@ -87,6 +93,7 @@ func DefaultScale() Scale {
 		Figure8Experiments:   16,
 		Figure8Reps:          20,
 		IthemalBlocks:        1200,
+		SimCache:             measure.NewSimCache(),
 		Seed:                 1,
 	}
 }
@@ -105,6 +112,7 @@ func QuickScale() Scale {
 		Figure8Experiments:   6,
 		Figure8Reps:          5,
 		IthemalBlocks:        250,
+		SimCache:             measure.NewSimCache(),
 		Seed:                 1,
 	}
 }
@@ -124,6 +132,7 @@ func FullScale() Scale {
 		Figure8Experiments:   128,
 		Figure8Reps:          1000,
 		IthemalBlocks:        20000,
+		SimCache:             measure.NewSimCache(),
 		Seed:                 1,
 	}
 }

@@ -45,9 +45,8 @@ func SignalContext(parent context.Context, deadline time.Duration) (ctx context.
 
 // OnSignalSpill runs spill when SIGINT/SIGTERM arrives and then exits
 // with the conventional 128+signal status. It is the whole interruption
-// story for tools with no resumable in-flight state (pmevo-bench,
-// pmevo-sim): the caches they have warmed are persisted — mirroring
-// their spill-on-fatalf path — and the process ends. Returns a stop
+// story for tools with no resumable in-flight state (pmevo-sim): the
+// caches they have warmed are persisted and the process ends. Returns a stop
 // function that deregisters the handler (call it once the process
 // reaches its normal spill point). Tools with resumable state
 // (pmevo-infer) use SignalContext instead and let cancellation

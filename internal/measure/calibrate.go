@@ -70,7 +70,7 @@ func (h *Harness) Calibrate(probeExps []portmap.Experiment, probes int, tol floa
 				// probes and doublings skip most detection hashing.
 				warm := h.opts.WarmupIters + p
 				var cyc float64
-				if h.opts.DisableSimCache {
+				if h.opts.SimCache == nil {
 					cyc, err = h.mach.SteadyStateCycles(body, warm, iters)
 				} else {
 					cyc, err = h.steadyStateHinted(body, warm, iters)

@@ -92,8 +92,6 @@ func TestCalibrateStopsAtMaxIters(t *testing.T) {
 // by its first probe for all later ones, and that the selected budget is
 // unchanged by the hints (they gate detection cost, not results).
 func TestCalibratePeriodHints(t *testing.T) {
-	FlushSimCache()
-	defer FlushSimCache()
 	proc := uarch.SKL()
 	add, _ := proc.ISA.FormByName("add_r64_r64")
 	mul, _ := proc.ISA.FormByName("imul_r64_r64")
@@ -101,11 +99,10 @@ func TestCalibratePeriodHints(t *testing.T) {
 		{{Inst: add.ID, Count: 1}},
 		{{Inst: add.ID, Count: 1}, {Inst: mul.ID, Count: 1}},
 	}
-	run := func(disable bool) (*CalibrationResult, CacheStats) {
-		FlushSimCache()
+	run := func(c *SimCache) (*CalibrationResult, CacheStats) {
 		opts := DefaultOptions()
 		opts.NoiseSigma = 0
-		opts.DisableSimCache = disable
+		opts.SimCache = c
 		h, err := NewHarness(proc, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -116,11 +113,11 @@ func TestCalibratePeriodHints(t *testing.T) {
 		}
 		return res, h.CacheStats()
 	}
-	hinted, st := run(false)
+	hinted, st := run(NewSimCache())
 	if st.SimPeriodHints == 0 {
 		t.Error("calibration sweep never reused a period hint")
 	}
-	plain, stOff := run(true)
+	plain, stOff := run(nil)
 	if stOff.SimPeriodHints != 0 {
 		t.Errorf("uncached calibration recorded hint traffic: %+v", stOff)
 	}

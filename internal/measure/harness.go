@@ -45,14 +45,16 @@ type Options struct {
 	Seed int64
 	// Pools overrides the register pool sizes (zero value: ISA default).
 	Pools PoolSizes
-	// DisableSimCache bypasses the shared kernel-simulation cache (the
-	// noiseless steady-state cycles per canonical loop body; see
-	// simcache.go). Measurement results are bit-identical either way —
-	// the knob exists for benchmarking and debugging.
-	DisableSimCache bool
+	// SimCache is the kernel-simulation cache the harness measures
+	// through (the noiseless steady-state cycles per canonical loop
+	// body, plus period hints; see simcache.go). Harnesses given the
+	// same value share its entries. Nil selects the uncached reference
+	// path. Measurement results are bit-identical either way.
+	SimCache *SimCache
 }
 
-// DefaultOptions returns the paper's measurement parameters.
+// DefaultOptions returns the paper's measurement parameters, measuring
+// through a fresh SimCache.
 func DefaultOptions() Options {
 	return Options{
 		UnrollLength:     50,
@@ -63,6 +65,7 @@ func DefaultOptions() Options {
 		MeasureIters:     120,
 		CompileOverheadS: 1.0,
 		Seed:             1,
+		SimCache:         NewSimCache(),
 	}
 }
 
@@ -78,7 +81,7 @@ type Harness struct {
 
 	// Kernel-cache counters; atomic because MeasureAll simulates
 	// concurrently. simWarmHits is the subset of simHits served by
-	// entries LoadSimCache seeded from disk; simHintHits counts
+	// entries SimCache.Load seeded from disk; simHintHits counts
 	// simulations that ran with a per-body period hint (simcache.go).
 	simHits     atomic.Int64
 	simMisses   atomic.Int64
@@ -188,7 +191,7 @@ func (h *Harness) Measure(e portmap.Experiment) (float64, error) {
 }
 
 // simulate runs the deterministic part of a measurement: loop
-// construction and the steady-state simulation — through the shared
+// construction and the steady-state simulation — through the harness's
 // kernel cache, which is keyed on the canonical body and so deduplicates
 // count-scaled experiment aliases and repeats across experiment sets —
 // yielding the noise-free cycles per experiment instance. It touches

@@ -488,7 +488,7 @@ func TestMeasureAllKernelCacheBitExact(t *testing.T) {
 	}
 
 	optsOff := opts
-	optsOff.DisableSimCache = true
+	optsOff.SimCache = nil
 	plain, err := NewHarness(proc, optsOff)
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +544,7 @@ func TestMeasureAllKernelCacheBitExact(t *testing.T) {
 	}
 	off := plain.CacheStats()
 	if off.SimHits != 0 || off.SimMisses != 0 {
-		t.Errorf("disabled cache recorded traffic: %+v", off)
+		t.Errorf("uncached harness recorded traffic: %+v", off)
 	}
 }
 
@@ -639,8 +639,8 @@ func TestSimKeyLengthPacking(t *testing.T) {
 }
 
 // TestSimCacheDiskWarmStart is the end-to-end golden test of the
-// persistence seam: a MeasureAll warm-started from a spilled cache file
-// in a "fresh process" (simulated by flushing the in-memory cache) must
+// persistence seam: a MeasureAll warm-started from a spilled cache in a
+// "new process" (a fresh SimCache loaded from the spill directory) must
 // be bit-identical to the cold run, report its hits as disk-warm, and
 // degrade to a cold start — with identical results — when the file is
 // missing, truncated, or corrupt.
@@ -650,9 +650,10 @@ func TestSimCacheDiskWarmStart(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		es = append(es, portmap.Experiment{{Inst: proc.ISA.Form(i).ID, Count: 1 + i%2}})
 	}
-	opts := DefaultOptions()
-	opts.Seed = 99
-	measureAll := func() ([]float64, CacheStats) {
+	measureAll := func(c *SimCache) ([]float64, CacheStats) {
+		opts := DefaultOptions()
+		opts.Seed = 99
+		opts.SimCache = c
 		h, err := NewHarness(proc, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -664,24 +665,22 @@ func TestSimCacheDiskWarmStart(t *testing.T) {
 		return got, h.CacheStats()
 	}
 
-	FlushSimCache()
-	want, coldStats := measureAll()
+	cold := NewSimCache()
+	want, coldStats := measureAll(cold)
 	if coldStats.SimWarmHits != 0 {
 		t.Fatalf("cold run reported %d warm hits", coldStats.SimWarmHits)
 	}
-	path := filepath.Join(t.TempDir(), "simcache.pmc")
-	if err := SaveSimCache(path); err != nil {
+	dir := t.TempDir()
+	if err := cold.Spill(dir); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Fresh process": empty in-memory cache, warm-started from disk.
-	FlushSimCache()
-	loaded, lerr := LoadSimCache(path)
-	if loaded == 0 {
+	// "New process": a fresh cache, warm-started from disk.
+	warm := NewSimCache()
+	if loaded, _, lerr := warm.Load(dir); loaded == 0 {
 		t.Fatalf("loaded no entries (err %v)", lerr)
 	}
-	procBefore := ProcessCacheStats()
-	got, warmStats := measureAll()
+	got, warmStats := measureAll(warm)
 	for i := range es {
 		if got[i] != want[i] {
 			t.Errorf("experiment %d: warm %v != cold %v", i, got[i], want[i])
@@ -693,11 +692,9 @@ func TestSimCacheDiskWarmStart(t *testing.T) {
 	if warmStats.SimWarmHits == 0 || warmStats.SimWarmHits != warmStats.SimHits {
 		t.Errorf("warm run hits not attributed to disk: %+v", warmStats)
 	}
-	if d := ProcessCacheStats().Sub(procBefore); d.SimWarmHits != warmStats.SimWarmHits {
-		t.Errorf("process-wide warm delta %d != harness warm hits %d", d.SimWarmHits, warmStats.SimWarmHits)
-	}
 
 	// Damaged or missing files must cold-start with identical results.
+	path := filepath.Join(dir, simCacheFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -707,12 +704,12 @@ func TestSimCacheDiskWarmStart(t *testing.T) {
 			if err := mutate(); err != nil {
 				t.Fatal(err)
 			}
-			FlushSimCache()
-			loaded, lerr := LoadSimCache(path)
+			c := NewSimCache()
+			loaded, _, lerr := c.Load(dir)
 			if loaded != 0 || lerr == nil {
 				t.Fatalf("damaged file loaded %d entries (err %v)", loaded, lerr)
 			}
-			got, stats := measureAll()
+			got, stats := measureAll(c)
 			for i := range es {
 				if got[i] != want[i] {
 					t.Errorf("experiment %d: after failed load %v != cold %v", i, got[i], want[i])
@@ -730,7 +727,77 @@ func TestSimCacheDiskWarmStart(t *testing.T) {
 		return os.WriteFile(path, b, 0o644)
 	})
 	corrupt("missing", func() error { return os.Remove(path) })
-	FlushSimCache()
+}
+
+// TestSimCacheOwnership pins who shares what: harnesses with separate
+// SimCache values each pay their own misses, a harness sharing another's
+// value is served by its hits, and every one of them is bit-identical to
+// a harness without a cache.
+func TestSimCacheOwnership(t *testing.T) {
+	proc := uarch.SKL()
+	var es []portmap.Experiment
+	for i := 0; i < 8; i++ {
+		es = append(es, portmap.Experiment{{Inst: proc.ISA.Form(i).ID, Count: 1}})
+		es = append(es, portmap.Experiment{{Inst: proc.ISA.Form(i).ID, Count: 2}}) // body-aliases the singleton
+	}
+	measureAll := func(c *SimCache) ([]float64, CacheStats) {
+		opts := DefaultOptions()
+		opts.Seed = 31
+		opts.SimCache = c
+		h, err := NewHarness(proc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.MeasureAll(context.Background(), es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, h.CacheStats()
+	}
+	same := func(tag string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: experiment %d: %v != uncached %v", tag, i, got[i], want[i])
+			}
+		}
+	}
+
+	want, off := measureAll(nil)
+	if off != (CacheStats{}) {
+		t.Errorf("uncached harness recorded traffic: %+v", off)
+	}
+
+	// Every distinct body misses at least once in a cold cache; racing
+	// aliases can add misses, never remove them.
+	h, err := NewHarness(proc, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[uint64]bool{}
+	for _, e := range es {
+		body, _, err := h.BuildLoop(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct[simKey(h.mach, h.opts.WarmupIters, h.opts.MeasureIters, body)] = true
+	}
+	for _, tag := range []string{"first separate cache", "second separate cache"} {
+		got, st := measureAll(NewSimCache())
+		same(tag, got, want)
+		if st.SimMisses < int64(len(distinct)) || st.SimHits+st.SimMisses != int64(len(es)) || st.SimWarmHits != 0 {
+			t.Errorf("%s: %+v, want at least %d misses of %d simulations", tag, st, len(distinct), len(es))
+		}
+	}
+
+	shared := NewSimCache()
+	got, _ := measureAll(shared)
+	same("first sharer", got, want)
+	got, st := measureAll(shared)
+	same("second sharer", got, want)
+	if st.SimMisses != 0 || st.SimHits != int64(len(es)) {
+		t.Errorf("second sharer: %+v, want all %d simulations served by hits", st, len(es))
+	}
 }
 
 // TestMeasureNoiseStreamIndependentOfCache pins the noise-ordering
@@ -740,10 +807,10 @@ func TestSimCacheDiskWarmStart(t *testing.T) {
 func TestMeasureNoiseStreamIndependentOfCache(t *testing.T) {
 	proc := uarch.ZEN()
 	e := portmap.Experiment{{Inst: proc.ISA.Form(0).ID, Count: 1}}
-	run := func(disable bool) [2]float64 {
+	run := func(c *SimCache) [2]float64 {
 		opts := DefaultOptions()
 		opts.Seed = 7
-		opts.DisableSimCache = disable
+		opts.SimCache = c
 		h, err := NewHarness(proc, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -758,8 +825,8 @@ func TestMeasureNoiseStreamIndependentOfCache(t *testing.T) {
 		}
 		return out
 	}
-	on := run(false)
-	off := run(true)
+	on := run(NewSimCache())
+	off := run(nil)
 	if on != off {
 		t.Errorf("noise stream diverged: cache on %v, off %v", on, off)
 	}
@@ -769,13 +836,12 @@ func TestMeasureNoiseStreamIndependentOfCache(t *testing.T) {
 }
 
 // TestKernelCachePeriodHints pins the per-body hint seam: a second
-// harness measuring the same experiments under a different iteration
-// budget misses the kernel cache (its keys include the budget) but
-// reuses the periods the first harness detected — and its results stay
-// bit-identical to an uncached harness with the same configuration.
+// harness sharing the first one's SimCache and measuring the same
+// experiments under a different iteration budget misses the kernel
+// cache (its keys include the budget) but reuses the periods the first
+// harness detected — and its results stay bit-identical to an uncached
+// harness with the same configuration.
 func TestKernelCachePeriodHints(t *testing.T) {
-	FlushSimCache()
-	defer FlushSimCache()
 	proc := uarch.SKL()
 	var es []portmap.Experiment
 	for i := 0; i < 6; i++ {
@@ -792,7 +858,7 @@ func TestKernelCachePeriodHints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	optsB := opts
+	optsB := opts                               // same SimCache
 	optsB.MeasureIters = opts.MeasureIters + 80 // same bodies, new cache keys
 	b, err := NewHarness(proc, optsB)
 	if err != nil {
@@ -815,7 +881,7 @@ func TestKernelCachePeriodHints(t *testing.T) {
 	}
 
 	optsOff := optsB
-	optsOff.DisableSimCache = true
+	optsOff.SimCache = nil
 	plain, err := NewHarness(proc, optsOff)
 	if err != nil {
 		t.Fatal(err)
@@ -830,27 +896,31 @@ func TestKernelCachePeriodHints(t *testing.T) {
 		}
 	}
 	if off := plain.CacheStats(); off.SimPeriodHints != 0 {
-		t.Errorf("disabled cache recorded hint traffic: %+v", off)
+		t.Errorf("uncached harness recorded hint traffic: %+v", off)
 	}
 }
 
 // TestPeriodHintDiskRoundTrip pins the persisted half of the hint seam:
 // hints spilled by one process warm-start detection in the next — a
-// "fresh process" (flushed tables) that loads only the hint file reuses
+// "new process" (a fresh SimCache) that finds only the hint file reuses
 // the previously detected periods on first contact with each body, with
 // results bit-identical to cold detection. Damaged, missing, or
 // out-of-range hint files degrade to cold detection.
+//
+// Which MeasureAll worker simulates an aliased body first depends on
+// scheduling, and so do the batch's exact hit, miss and hint counts.
+// The test therefore checks only the SimCache's contents and counts
+// that hold under any schedule.
 func TestPeriodHintDiskRoundTrip(t *testing.T) {
-	FlushSimCache()
-	defer FlushSimCache()
 	proc := uarch.SKL()
 	var es []portmap.Experiment
 	for i := 0; i < 6; i++ {
 		es = append(es, portmap.Experiment{{Inst: proc.ISA.Form(i).ID, Count: 1}})
 	}
-	opts := DefaultOptions()
-	opts.Seed = 23
-	measureAll := func() ([]float64, CacheStats) {
+	measureAll := func(c *SimCache) ([]float64, CacheStats) {
+		opts := DefaultOptions()
+		opts.Seed = 23
+		opts.SimCache = c
 		h, err := NewHarness(proc, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -861,41 +931,53 @@ func TestPeriodHintDiskRoundTrip(t *testing.T) {
 		}
 		return got, h.CacheStats()
 	}
-
-	want, coldStats := measureAll()
-	if coldStats.SimPeriodHints != 0 {
-		t.Fatalf("first-contact run reported %d hint hits", coldStats.SimPeriodHints)
+	// coldStart checks the counts every batch through a cache without
+	// disk-seeded kernels has, whatever the schedule.
+	coldStart := func(tag string, st CacheStats) {
+		t.Helper()
+		if st.SimWarmHits != 0 || st.SimMisses == 0 || st.SimHits+st.SimMisses != int64(len(es)) {
+			t.Errorf("%s: %+v, want no warm hits and %d simulations, at least one missed", tag, st, len(es))
+		}
 	}
-	path := filepath.Join(t.TempDir(), "period-hints.pmc")
-	if err := SaveHintCache(path); err != nil {
+	live := func(tab *cachetable.Table) int { return len(tab.Snapshot()) }
+
+	cold := NewSimCache()
+	want, coldStats := measureAll(cold)
+	coldStart("cold run", coldStats)
+	dir := t.TempDir()
+	if err := cold.Spill(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Keep only the hint file, so the next cache's kernel table starts
+	// cold and every body re-simulates — now hinted.
+	if err := os.Remove(filepath.Join(dir, simCacheFile)); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Fresh process": both tables empty, only the hint file loaded. The
-	// kernel cache stays cold, so every body re-simulates — now hinted.
-	FlushSimCache()
-	loaded, lerr := LoadHintCache(path)
-	if loaded == 0 {
+	warm := NewSimCache()
+	kernels, hints, lerr := warm.Load(dir)
+	if hints == 0 {
 		t.Fatalf("loaded no hints (err %v)", lerr)
 	}
-	got, warmStats := measureAll()
+	if kt, _ := warm.tables(); kernels != 0 || live(kt) != 0 || !errors.Is(lerr, cachestore.ErrMissing) {
+		t.Fatalf("hint-only load seeded %d kernels (%d live, err %v)", kernels, live(kt), lerr)
+	}
+	got, warmStats := measureAll(warm)
 	for i := range es {
 		if got[i] != want[i] {
 			t.Errorf("experiment %d: hint-warmed %v != cold %v", i, got[i], want[i])
 		}
 	}
-	// The kernel cache itself stayed cold: its only hits are the same
-	// within-batch body aliases the cold run had (the hint file feeds
-	// only the hint table).
-	if warmStats.SimHits != coldStats.SimHits || warmStats.SimWarmHits != 0 {
-		t.Errorf("kernel-cache traffic changed after hint load: warm %+v vs cold %+v", warmStats, coldStats)
-	}
+	// The kernel table started empty, so every distinct body missed once
+	// and consulted the loaded hints.
+	coldStart("hint-warmed run", warmStats)
 	if warmStats.SimPeriodHints == 0 {
 		t.Error("disk-loaded hints never engaged on first contact")
 	}
 
 	// Damaged or missing files must degrade to cold detection, results
 	// unchanged.
+	path := filepath.Join(dir, hintCacheFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -905,20 +987,18 @@ func TestPeriodHintDiskRoundTrip(t *testing.T) {
 			if err := mutate(); err != nil {
 				t.Fatal(err)
 			}
-			FlushSimCache()
-			loaded, lerr := LoadHintCache(path)
-			if loaded != 0 || lerr == nil {
-				t.Fatalf("damaged hint file loaded %d entries (err %v)", loaded, lerr)
+			c := NewSimCache()
+			_, loaded, lerr := c.Load(dir)
+			if _, ht := c.tables(); loaded != 0 || live(ht) != 0 || lerr == nil {
+				t.Fatalf("damaged hint file loaded %d entries (%d live, err %v)", loaded, live(ht), lerr)
 			}
-			got, stats := measureAll()
+			got, stats := measureAll(c)
 			for i := range es {
 				if got[i] != want[i] {
 					t.Errorf("experiment %d: after failed load %v != cold %v", i, got[i], want[i])
 				}
 			}
-			if stats.SimPeriodHints != 0 {
-				t.Errorf("failed load produced %d hint hits", stats.SimPeriodHints)
-			}
+			coldStart("after failed load", stats)
 		})
 	}
 	corrupt("truncated", func() error { return os.WriteFile(path, data[:len(data)/2], 0o644) })
@@ -938,8 +1018,7 @@ func TestPeriodHintDiskRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	FlushSimCache()
-	if loaded, lerr := LoadHintCache(path); loaded != 0 || !errors.Is(lerr, ErrNoValidHints) {
+	if _, loaded, lerr := NewSimCache().Load(dir); loaded != 0 || !errors.Is(lerr, ErrNoValidHints) {
 		t.Fatalf("out-of-range hints loaded %d entries (err %v)", loaded, lerr)
 	}
 }

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"sync"
@@ -22,10 +23,12 @@ import (
 // sets, C emission), and every eval driver rebuilds harnesses over the
 // same three processors. The noiseless steady-state cycles of a body are
 // a pure function of (machine, warmup, measure, body), so they are
-// cached process-wide and shared by all harnesses — and, through
-// LoadSimCache/SaveSimCache, across processes: repeated pmevo-bench or
+// cached in a SimCache value. Its owner decides the sharing: harnesses
+// given the same value (Options.SimCache) share its entries, a fresh
+// value starts cold, and a nil one selects the uncached reference path.
+// Load and Spill carry a value across processes: repeated pmevo-bench or
 // pmevo-infer invocations on the same virtual machines warm-start
-// measurement from disk.
+// measurement from a -cache-dir.
 //
 // The cache sits strictly below the noise layer: a hit returns the exact
 // float the simulation would produce, and noise is drawn per measurement
@@ -39,152 +42,98 @@ import (
 // different simulator configuration simply never hits. Storage is the
 // bounded XOR-tagged atomic table of internal/cachetable.
 
-// simCacheEntries bounds the shared cache: 2^16 slots × 16 bytes = 1 MiB,
-// comfortably above the distinct-kernel count of a full Table 1
+// simCacheEntries bounds the kernel table: 2^16 slots × 16 bytes =
+// 1 MiB, comfortably above the distinct-kernel count of a full Table 1
 // evaluation sweep.
 const simCacheEntries = 1 << 16
-
-// simCacheContentKey tags the on-disk spill ("pmevosim"). The entries'
-// own keys carry the machine fingerprint, so the file-level content key
-// is a fixed schema-style constant.
-const simCacheContentKey = 0x706d65766f73696d
-
-// sharedSimCache is the process-wide kernel cache (float64 cycles per
-// iteration in a cachetable.Table). Pollution across harnesses is
-// harmless by construction: equal keys map to equal deterministic
-// simulation results.
-var sharedSimCache = cachetable.New(simCacheEntries)
 
 // simHintEntries bounds the per-body period-hint table: hints are one
 // word per distinct body (not per body × iteration counts), so a much
 // smaller table than the kernel cache suffices.
 const simHintEntries = 1 << 12
 
-// sharedHintCache maps a body fingerprint (machine + canonical body,
+// The spill files inside a -cache-dir, and their content keys ("pmevosim",
+// "pmevohnt"). Each entry's own key carries the machine fingerprint, so
+// the file-level content keys are fixed schema-style constants.
+const (
+	simCacheFile        = "simcache.pmc"
+	hintCacheFile       = "period-hints.pmc"
+	simCacheContentKey  = 0x706d65766f73696d
+	hintCacheContentKey = 0x706d65766f686e74
+)
+
+// SimCache is a kernel-simulation cache: the steady-state cycles per
+// iteration of each canonical loop body, the per-body period hints, and
+// the set of keys seeded from disk. Pollution across the harnesses that
+// share one is harmless by construction: equal keys map to equal
+// deterministic simulation results. Lookups are lock-free and safe for
+// concurrent use (MeasureAll fans simulations out over all cores).
+//
+// The hint table maps a body fingerprint (machine + canonical body,
 // without iteration counts) to the steady-state period in body
 // iterations detected by a previous simulation of that body. When the
-// kernel cache misses only because the iteration counts differ — the
+// kernel table misses only because the iteration counts differ — the
 // calibration sweep and harnesses with different warmup/measure budgets
 // re-simulate bodies the cache has already seen — the stored period is
 // passed back as a detection hint, so the re-run skips most detection
 // hashing (machine.SteadyStateCyclesHinted). Hints affect only cost,
 // never results: a stale or colliding hint at worst delays detection.
-// Persisted next to the kernel cache spill (LoadHintCache/SaveHintCache,
-// wired into WarmStartSimCache/SpillSimCache), so cross-process reruns
-// skip detection hashing on first contact with a body too; values read
-// back from disk pass through the same > 1 && <= maxPeriodHint gate as
-// live table reads, so a corrupt record degrades to cold detection.
-var sharedHintCache = cachetable.New(simHintEntries)
-
-// hintCacheContentKey tags the on-disk period-hint spill ("pmevohnt").
-// As with the kernel cache, each entry's own key carries the machine
-// fingerprint, so a hint file from a different simulator configuration
-// never hits.
-const hintCacheContentKey = 0x706d65766f686e74
-
-// warmSimKeys is the set of keys seeded from disk by LoadSimCache, used
-// to attribute hits to the warm start (CacheStats.SimWarmHits). The map
-// is immutable once published; LoadSimCache replaces it wholesale.
-var warmSimKeys atomic.Pointer[map[uint64]struct{}]
-
-// simCacheMu serializes the load/save/flush entry points against each
-// other (the lookup fast path is lock-free and unaffected).
-var simCacheMu sync.Mutex
-
-// Process-wide kernel-cache counters. Per-harness counters (see
-// Harness.CacheStats) attribute traffic to one harness but cannot tell
-// a self-seeded hit from one seeded by another harness or by a disk
-// load; these process totals are the right scope for per-driver
-// snapshot-and-subtract reporting (pmevo-bench attributes per-BENCH
-// record deltas this way).
-var (
-	procSimHits     atomic.Int64
-	procSimMisses   atomic.Int64
-	procSimWarmHits atomic.Int64
-	procSimHintHits atomic.Int64
-)
-
-// FlushSimCache drops every cached kernel simulation, including entries
-// warm-started from disk (the warm-hit attribution set is cleared with
-// them) and the per-body period hints. Results are never affected — the cache holds a pure function
-// of its key — but timing is: benchmark drivers flush before a timed
-// run so the reported cost is cold-cache and independent of whatever
-// measured earlier in the process. Process-wide counters are cumulative
-// and not reset; drivers snapshot and subtract.
-func FlushSimCache() {
-	simCacheMu.Lock()
-	defer simCacheMu.Unlock()
-	sharedSimCache.Clear()
-	sharedHintCache.Clear()
-	warmSimKeys.Store(nil)
+type SimCache struct {
+	// alloc defers the tables (1 MiB + 64 KiB) to first use, so a
+	// harness that never simulates costs nothing to build.
+	alloc   sync.Once
+	kernels *cachetable.Table // float64 bits by simKey
+	hints   *cachetable.Table // period in iterations by hintKey
+	// warm is the set of keys seeded by the last Load that found a
+	// kernel file, used to attribute hits to the warm start
+	// (CacheStats.SimWarmHits). The map is immutable once published.
+	warm atomic.Pointer[map[uint64]struct{}]
+	// mu serializes Load and Spill against each other.
+	mu sync.Mutex
 }
 
-// LoadSimCache warm-starts the kernel cache from the spill file at
-// path, returning the number of entries seeded and, when nothing was
-// loaded, a typed diagnostic (errors.Is against cachestore.ErrMissing
-// et al.). It never fails into a result path: a missing, truncated,
-// corrupt, or mismatched file seeds nothing and measurement cold-starts
-// (cachestore's contract). Call it before measurement begins —
-// typically straight after flag parsing; loading concurrently with
-// in-flight measurements would blur warm-hit attribution (results would
-// still be exact).
-func LoadSimCache(path string) (loaded int, err error) {
-	entries, err := cachestore.Load(path, cachestore.SchemaSimCache, simCacheContentKey)
-	if len(entries) == 0 {
-		return 0, err
-	}
-	simCacheMu.Lock()
-	defer simCacheMu.Unlock()
-	warm := make(map[uint64]struct{}, len(entries))
-	if old := warmSimKeys.Load(); old != nil {
-		for k := range *old {
-			warm[k] = struct{}{}
-		}
-	}
-	for _, e := range entries {
-		warm[e.Key] = struct{}{}
-	}
-	sharedSimCache.LoadEntries(entries)
-	warmSimKeys.Store(&warm)
-	return len(entries), nil
+// NewSimCache returns an empty cache.
+func NewSimCache() *SimCache { return &SimCache{} }
+
+func (c *SimCache) tables() (kernels, hints *cachetable.Table) {
+	c.alloc.Do(func() {
+		c.kernels = cachetable.New(simCacheEntries)
+		c.hints = cachetable.New(simHintEntries)
+	})
+	return c.kernels, c.hints
 }
 
-// SaveSimCache atomically spills the kernel cache to path (temp file +
-// rename; see cachestore.Save). Call it at a quiesce point — process
-// exit, or between benchmark phases — never concurrently with
-// measurement.
-func SaveSimCache(path string) error {
-	simCacheMu.Lock()
-	defer simCacheMu.Unlock()
-	return cachestore.SaveTable(path, cachestore.SchemaSimCache, simCacheContentKey, sharedSimCache)
-}
-
-// SimCachePath returns the conventional kernel-cache spill file inside
-// a tool's -cache-dir.
-func SimCachePath(dir string) string { return filepath.Join(dir, "simcache.pmc") }
-
-// HintCachePath returns the conventional period-hint spill file inside
-// a tool's -cache-dir (written and read alongside the kernel cache).
-func HintCachePath(dir string) string { return filepath.Join(dir, "period-hints.pmc") }
-
-// ErrNoValidHints is LoadHintCache's diagnostic for a well-formed hint
-// file none of whose values fall in the valid period range.
+// ErrNoValidHints is Load's diagnostic for a well-formed hint file none
+// of whose values fall in the valid period range.
 var ErrNoValidHints = errors.New("no hint in valid period range")
 
-// LoadHintCache warm-starts the per-body period-hint table from the
-// spill file at path, returning the number of hints seeded and, when
-// nothing was loaded, a typed diagnostic (errors.Is against
-// cachestore.ErrMissing et al., or ErrNoValidHints). Like LoadSimCache
-// it never fails into a result path: a missing, truncated, corrupt, or
-// mismatched file — or one whose values are outside the valid period
-// range — seeds nothing, and detection runs cold. Hints only gate which
-// iterations detection hashes, so even an adversarial file cannot
-// change measurement results, only delay detection.
-func LoadHintCache(path string) (loaded int, err error) {
-	entries, err := cachestore.Load(path, cachestore.SchemaPeriodHints, hintCacheContentKey)
-	if len(entries) == 0 {
-		return 0, err
+// Load warm-starts the cache from the spill files in a tool's
+// -cache-dir (simcache.pmc and period-hints.pmc), returning the number
+// of kernel entries and period hints seeded. err carries a typed
+// diagnostic for each file that seeded nothing (errors.Is against
+// cachestore.ErrMissing et al., or ErrNoValidHints). It never fails
+// into a result path: a missing, truncated, corrupt, or mismatched file
+// — or a hint file whose values are outside the valid period range —
+// seeds nothing and that half of the cache cold-starts (cachestore's
+// contract). Hints only gate which iterations detection hashes, so even
+// an adversarial hint file cannot change results, only delay detection.
+// Call Load before measurement begins; loading concurrently with
+// in-flight measurements would blur warm-hit attribution (results would
+// still be exact).
+func (c *SimCache) Load(dir string) (kernels, hints int, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kt, ht := c.tables()
+	entries, kerr := cachestore.Load(filepath.Join(dir, simCacheFile), cachestore.SchemaSimCache, simCacheContentKey)
+	if len(entries) > 0 {
+		warm := make(map[uint64]struct{}, len(entries))
+		for _, e := range entries {
+			warm[e.Key] = struct{}{}
+		}
+		kernels = kt.LoadEntries(entries)
+		c.warm.Store(&warm)
 	}
+	entries, herr := cachestore.Load(filepath.Join(dir, hintCacheFile), cachestore.SchemaPeriodHints, hintCacheContentKey)
 	// Drop out-of-range values at the door (the read path re-checks, so
 	// this only keeps garbage from occupying slots).
 	valid := entries[:0]
@@ -193,57 +142,36 @@ func LoadHintCache(path string) (loaded int, err error) {
 			valid = append(valid, e)
 		}
 	}
-	if len(valid) == 0 {
-		return 0, ErrNoValidHints
+	if len(entries) > 0 && len(valid) == 0 {
+		herr = ErrNoValidHints
 	}
-	simCacheMu.Lock()
-	defer simCacheMu.Unlock()
-	return sharedHintCache.LoadEntries(valid), nil
+	hints = ht.LoadEntries(valid)
+	// One line naming each file that seeded nothing; both diagnostics
+	// stay visible to errors.Is.
+	switch {
+	case kerr != nil && herr != nil:
+		err = fmt.Errorf("%s: %w; %s: %w", simCacheFile, kerr, hintCacheFile, herr)
+	case kerr != nil:
+		err = fmt.Errorf("%s: %w", simCacheFile, kerr)
+	case herr != nil:
+		err = fmt.Errorf("%s: %w", hintCacheFile, herr)
+	}
+	return kernels, hints, err
 }
 
-// SaveHintCache atomically spills the period-hint table to path. Same
-// quiesce-point contract as SaveSimCache.
-func SaveHintCache(path string) error {
-	simCacheMu.Lock()
-	defer simCacheMu.Unlock()
-	return cachestore.SaveTable(path, cachestore.SchemaPeriodHints, hintCacheContentKey, sharedHintCache)
-}
-
-// WarmStartSimCache loads the kernel-cache spill from a tool's
-// -cache-dir and reports the outcome — including why a load seeded
-// nothing — through logf (fmt.Printf-style, typically the tool's
-// stderr logger). The shared entry point for all three cmds.
-func WarmStartSimCache(dir string, logf func(format string, args ...any)) {
-	path := SimCachePath(dir)
-	if loaded, err := LoadSimCache(path); loaded > 0 {
-		logf("warm-started kernel cache: %d entries from %s", loaded, path)
-	} else {
-		logf("kernel cache cold start (%v)", err)
-	}
-	hintPath := HintCachePath(dir)
-	if loaded, err := LoadHintCache(hintPath); loaded > 0 {
-		logf("warm-started period hints: %d entries from %s", loaded, hintPath)
-	} else {
-		logf("period hints cold start (%v)", err)
-	}
-}
-
-// SpillSimCache saves the kernel cache into a tool's -cache-dir,
-// reporting failure through logf instead of failing the caller: a lost
-// spill only costs the next invocation recomputation.
-func SpillSimCache(dir string, logf func(format string, args ...any)) {
-	path := SimCachePath(dir)
-	if err := SaveSimCache(path); err != nil {
-		logf("spill kernel cache: %v", err)
-	} else {
-		logf("spilled kernel cache to %s", path)
-	}
-	hintPath := HintCachePath(dir)
-	if err := SaveHintCache(hintPath); err != nil {
-		logf("spill period hints: %v", err)
-	} else {
-		logf("spilled period hints to %s", hintPath)
-	}
+// Spill atomically writes the kernel table and the hint table into dir
+// (temp file + rename per file; see cachestore.Save), attempting both
+// and joining their errors. Call it at a quiesce point — process exit,
+// or between benchmark phases — never concurrently with measurement. A
+// lost spill only costs the next invocation recomputation.
+func (c *SimCache) Spill(dir string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kt, ht := c.tables()
+	return errors.Join(
+		cachestore.SaveTable(filepath.Join(dir, simCacheFile), cachestore.SchemaSimCache, simCacheContentKey, kt),
+		cachestore.SaveTable(filepath.Join(dir, hintCacheFile), cachestore.SchemaPeriodHints, hintCacheContentKey, ht),
+	)
 }
 
 // simKey hashes one steady-state simulation request into its canonical
@@ -302,11 +230,10 @@ func combineBody(key uint64, mach *machine.Machine, body []machine.Inst) uint64 
 
 // CacheStats counts kernel-cache traffic. Hits + misses equals the
 // number of steady-state simulations requested; SimWarmHits is the
-// subset of hits whose key was seeded from disk by LoadSimCache;
+// subset of hits whose key was seeded from disk by SimCache.Load;
 // SimPeriodHints is the number of simulations (cache misses and
 // calibration probes) that ran with a period hint recovered from an
-// earlier simulation of the same body. With the cache disabled all
-// stay zero.
+// earlier simulation of the same body. Without a cache all stay zero.
 type CacheStats struct {
 	SimHits        int64
 	SimMisses      int64
@@ -315,10 +242,9 @@ type CacheStats struct {
 }
 
 // CacheStats returns a snapshot of this harness's kernel-cache
-// counters: traffic requested by this harness, against the shared
-// process-wide table. A hit counted here may have been seeded by
-// another harness (or by a disk load — that subset is SimWarmHits);
-// for totals attributable across all harnesses use ProcessCacheStats.
+// counters: traffic requested by this harness. A hit counted here may
+// have been seeded by another harness sharing the same SimCache (or by
+// a disk load — that subset is SimWarmHits).
 func (h *Harness) CacheStats() CacheStats {
 	return CacheStats{
 		SimHits:        h.simHits.Load(),
@@ -328,32 +254,7 @@ func (h *Harness) CacheStats() CacheStats {
 	}
 }
 
-// ProcessCacheStats returns the process-wide kernel-cache counters:
-// cumulative traffic from every harness since process start. Drivers
-// that report per-phase hit rates snapshot before and after and
-// subtract, so entries seeded by earlier phases never inflate a later
-// phase's report.
-func ProcessCacheStats() CacheStats {
-	return CacheStats{
-		SimHits:        procSimHits.Load(),
-		SimMisses:      procSimMisses.Load(),
-		SimWarmHits:    procSimWarmHits.Load(),
-		SimPeriodHints: procSimHintHits.Load(),
-	}
-}
-
-// Sub returns s - o field-wise (the snapshot-and-subtract helper for
-// per-phase attribution).
-func (s CacheStats) Sub(o CacheStats) CacheStats {
-	return CacheStats{
-		SimHits:        s.SimHits - o.SimHits,
-		SimMisses:      s.SimMisses - o.SimMisses,
-		SimWarmHits:    s.SimWarmHits - o.SimWarmHits,
-		SimPeriodHints: s.SimPeriodHints - o.SimPeriodHints,
-	}
-}
-
-// maxPeriodHint caps hint values read from the shared table: a key
+// maxPeriodHint caps hint values read from the hint table: a key
 // collision (or a stale slot) could surface an arbitrary word, and
 // modulo-gating detection with an absurd period would postpone it past
 // the budget for no benefit. Genuinely detected periods are bounded by
@@ -361,23 +262,23 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 const maxPeriodHint = 1 << 20
 
 // steadyState returns the noiseless steady-state cycles per iteration of
-// a loop body, through the shared kernel cache unless disabled. Safe for
+// a loop body, through the harness's SimCache if it has one. Safe for
 // concurrent use (MeasureAll fans simulations out over all cores).
 func (h *Harness) steadyState(body []machine.Inst) (float64, error) {
-	if h.opts.DisableSimCache {
-		// The disabled path is the pre-cache cost model exactly: no key
-		// hashing, no period hints. Benchmarks that toggle the knob
+	c := h.opts.SimCache
+	if c == nil {
+		// The uncached path is the pre-cache cost model exactly: no key
+		// hashing, no period hints. Benchmarks that compare against it
 		// measure the full caching layer, hints included.
 		return h.mach.SteadyStateCycles(body, h.opts.WarmupIters, h.opts.MeasureIters)
 	}
+	kernels, _ := c.tables()
 	key := simKey(h.mach, h.opts.WarmupIters, h.opts.MeasureIters, body)
-	if v, ok := sharedSimCache.Get(key); ok {
+	if v, ok := kernels.Get(key); ok {
 		h.simHits.Add(1)
-		procSimHits.Add(1)
-		if warm := warmSimKeys.Load(); warm != nil {
+		if warm := c.warm.Load(); warm != nil {
 			if _, ok := (*warm)[key]; ok {
 				h.simWarmHits.Add(1)
-				procSimWarmHits.Add(1)
 			}
 		}
 		return math.Float64frombits(v), nil
@@ -386,34 +287,34 @@ func (h *Harness) steadyState(body []machine.Inst) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sharedSimCache.Put(key, math.Float64bits(v))
+	kernels.Put(key, math.Float64bits(v))
 	h.simMisses.Add(1)
-	procSimMisses.Add(1)
 	return v, nil
 }
 
 // steadyStateHinted simulates a body under the given iteration budget,
-// consulting the per-body hint table: a kernel-cache miss that is "the
-// same body under different iteration counts" — the calibration sweep,
-// or harnesses with different warmup/measure budgets — reuses the period
-// detected by the earlier run, so detection re-engages with almost no
-// hashing. Whatever period this run detects is stored back for the next
-// one. Results are bit-identical with or without a hint (hints only gate
-// which iterations are hashed; machine.SteadyStateCyclesHinted).
+// consulting the harness's hint table (the SimCache must be non-nil): a
+// kernel-cache miss that is "the same body under different iteration
+// counts" — the calibration sweep, or harnesses with different
+// warmup/measure budgets — reuses the period detected by the earlier
+// run, so detection re-engages with almost no hashing. Whatever period
+// this run detects is stored back for the next one. Results are
+// bit-identical with or without a hint (hints only gate which
+// iterations are hashed; machine.SteadyStateCyclesHinted).
 func (h *Harness) steadyStateHinted(body []machine.Inst, warmup, measure int) (float64, error) {
+	_, hints := h.opts.SimCache.tables()
 	hk := hintKey(h.mach, body)
 	hint := 0
-	if v, ok := sharedHintCache.Get(hk); ok && v > 1 && v <= maxPeriodHint {
+	if v, ok := hints.Get(hk); ok && v > 1 && v <= maxPeriodHint {
 		hint = int(v)
 		h.simHintHits.Add(1)
-		procSimHintHits.Add(1)
 	}
 	cyc, res, err := h.mach.SteadyStateCyclesHinted(body, warmup, measure, hint)
 	if err != nil {
 		return 0, err
 	}
 	if p := res.DetectedPeriodIters; p > 1 && p != hint {
-		sharedHintCache.Put(hk, uint64(p))
+		hints.Put(hk, uint64(p))
 	}
 	return cyc, nil
 }
