@@ -98,35 +98,65 @@ func Singletons(numInsts int) []portmap.Experiment {
 }
 
 // PairExperiments returns the §4.1 pair and weighted-pair experiments
-// for the given individual throughputs, deduplicated by multiset.
+// for the given individual throughputs, in normal form (terms sorted by
+// instruction). They are distinct by construction: each unordered pair
+// of forms a < b yields experiments over exactly {a, b}, and its
+// weighted pair never equals its plain pair {a→1, b→1}, because the
+// weight ⌈t_slow/t_fast⌉ is at least 2 (see pairWeight).
 func PairExperiments(individual []float64) []portmap.Experiment {
 	n := len(individual)
-	var out []portmap.Experiment
-	seen := make(map[string]bool)
-	add := func(e portmap.Experiment) {
-		e = e.Normalize()
-		k := e.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, e)
+	count := 0
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			count++
+			if _, _, ok := pairWeight(individual[a], individual[b]); ok {
+				count++
+			}
 		}
+	}
+	if count == 0 {
+		return nil
+	}
+	// All experiments' terms share one backing array; each experiment is
+	// capped at its own two terms.
+	out := make([]portmap.Experiment, 0, count)
+	terms := make([]portmap.InstCount, 0, 2*count)
+	add := func(a, countA, b, countB int) {
+		terms = append(terms, portmap.InstCount{Inst: a, Count: countA}, portmap.InstCount{Inst: b, Count: countB})
+		out = append(out, portmap.Experiment(terms[len(terms)-2:len(terms):len(terms)]))
 	}
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			add(portmap.Experiment{{Inst: a, Count: 1}, {Inst: b, Count: 1}})
-			// Weighted pair: slower instruction once, faster one often
-			// enough to balance the masses.
-			tA, tB := individual[a], individual[b]
-			if tA > tB && tB > 0 {
-				k := int(math.Ceil(tA / tB))
-				add(portmap.Experiment{{Inst: a, Count: 1}, {Inst: b, Count: k}})
-			} else if tB > tA && tA > 0 {
-				k := int(math.Ceil(tB / tA))
-				add(portmap.Experiment{{Inst: b, Count: 1}, {Inst: a, Count: k}})
+			add(a, 1, b, 1)
+			if k, aSlower, ok := pairWeight(individual[a], individual[b]); ok {
+				if aSlower {
+					add(a, 1, b, k)
+				} else {
+					add(a, k, b, 1)
+				}
 			}
 		}
 	}
 	return out
+}
+
+// pairWeight returns the weighted pair of two forms with individual
+// throughputs tA and tB: the slower form runs once and the faster one
+// k = ⌈t_slow/t_fast⌉ times, enough to balance the masses. aSlower tells
+// which form is the slower; ok is false when the throughputs are equal
+// or the faster one is not positive.
+//
+// k is never 1. For slow > fast > 0, slow ≥ fast + ulp(fast), so the
+// exact quotient is at least 1 + ulp(fast)/fast > 1 + 2^-53, which
+// rounds to at least 1 + 2^-52; its ceiling is at least 2.
+func pairWeight(tA, tB float64) (k int, aSlower, ok bool) {
+	switch {
+	case tA > tB && tB > 0:
+		return int(math.Ceil(tA / tB)), true, true
+	case tB > tA && tA > 0:
+		return int(math.Ceil(tB / tA)), false, true
+	}
+	return 0, false, false
 }
 
 // GenerateAndMeasure runs the full §4.1 protocol: measure singletons,

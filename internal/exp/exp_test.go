@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pmevo/internal/portmap"
@@ -228,4 +229,95 @@ func ExamplePairExperiments() {
 	// Output:
 	// 0:1,1:1
 	// 0:1,1:2
+}
+
+// pairExperimentsByKey is the string-keyed implementation PairExperiments
+// replaced: every candidate normalized and deduplicated through
+// Experiment.Key. It is the reference for TestPairExperimentsMatchesKeyDedup.
+func pairExperimentsByKey(individual []float64) []portmap.Experiment {
+	n := len(individual)
+	var out []portmap.Experiment
+	seen := make(map[string]bool)
+	add := func(e portmap.Experiment) {
+		e = e.Normalize()
+		k := e.Key()
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, e)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			add(portmap.Experiment{{Inst: a, Count: 1}, {Inst: b, Count: 1}})
+			tA, tB := individual[a], individual[b]
+			if tA > tB && tB > 0 {
+				k := int(math.Ceil(tA / tB))
+				add(portmap.Experiment{{Inst: a, Count: 1}, {Inst: b, Count: k}})
+			} else if tB > tA && tA > 0 {
+				k := int(math.Ceil(tB / tA))
+				add(portmap.Experiment{{Inst: b, Count: 1}, {Inst: a, Count: k}})
+			}
+		}
+	}
+	return out
+}
+
+// TestPairExperimentsMatchesKeyDedup pins that PairExperiments, which
+// relies on pairs being unique by construction instead of a string-keyed
+// set, returns the same experiments in the same order as the
+// deduplicating reference on random throughput vectors — including ties,
+// throughputs one ulp apart (the closest a weight comes to 1, the only
+// value that could repeat a plain pair), zeros and negative values — and
+// that no experiment repeats.
+func TestPairExperimentsMatchesKeyDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		ind := make([]float64, rng.Intn(40))
+		for i := range ind {
+			switch rng.Intn(8) {
+			case 0:
+				if i > 0 {
+					ind[i] = ind[rng.Intn(i)] // tie
+				}
+			case 1:
+				if i > 0 {
+					ind[i] = math.Nextafter(ind[rng.Intn(i)], math.Inf(1)) // one ulp apart
+				}
+			case 2:
+				ind[i] = 0
+			case 3:
+				ind[i] = -rng.Float64()
+			default:
+				ind[i] = math.Exp(rng.NormFloat64() * 2)
+			}
+		}
+		got := PairExperiments(ind)
+		want := pairExperimentsByKey(ind)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d experiments, want %d", trial, len(got), len(want))
+		}
+		seen := map[string]bool{}
+		for i := range want {
+			if !reflect.DeepEqual([]portmap.InstCount(got[i]), []portmap.InstCount(want[i])) {
+				t.Fatalf("trial %d: experiment %d = %v, want %v", trial, i, got[i], want[i])
+			}
+			if k := got[i].Key(); seen[k] {
+				t.Fatalf("trial %d: experiment %v repeats", trial, got[i])
+			} else {
+				seen[k] = true
+			}
+		}
+	}
+	// Neighbouring doubles still weigh at least 2 (pairWeight's argument),
+	// across binades and into the subnormals.
+	for i := 0; i < 100000; i++ {
+		fast := math.Float64frombits(rng.Uint64() &^ (1 << 63))
+		if math.IsNaN(fast) || math.IsInf(fast, 0) || fast == 0 || fast == math.MaxFloat64 {
+			continue
+		}
+		slow := math.Nextafter(fast, math.Inf(1))
+		if k, _, ok := pairWeight(slow, fast); !ok || k < 2 {
+			t.Fatalf("pairWeight(%v, %v) = %d, %v; want a weight of at least 2", slow, fast, k, ok)
+		}
+	}
 }

@@ -84,24 +84,19 @@ type Inst struct {
 // offsets so consecutive memory accesses touch distinct addresses.
 type Allocator struct {
 	sizes PoolSizes
-	pools map[isa.RegClass]*regPool
+	// pools is indexed by register class; ClassNone's pool is empty, so
+	// a register operand of that class is rejected like an unknown one.
+	pools [numRegClasses]regPool
 	clock int
 	mem   int // next memory offset (rotating)
 }
 
+// numRegClasses bounds the isa.RegClass values that own a register pool.
+const numRegClasses = int(isa.ClassFPR) + 1
+
 type regPool struct {
-	n         int
 	lastRead  []int
 	lastWrite []int
-}
-
-func newRegPool(n int) *regPool {
-	p := &regPool{n: n, lastRead: make([]int, n), lastWrite: make([]int, n)}
-	for i := range p.lastRead {
-		p.lastRead[i] = -1
-		p.lastWrite[i] = -1
-	}
-	return p
 }
 
 // NewAllocator creates an allocator with the given pool sizes.
@@ -112,23 +107,44 @@ func NewAllocator(sizes PoolSizes) (*Allocator, error) {
 	if sizes.MemOffsets < 1 {
 		return nil, fmt.Errorf("measure: need at least one memory offset")
 	}
-	return &Allocator{
-		sizes: sizes,
-		pools: map[isa.RegClass]*regPool{
-			isa.ClassGPR: newRegPool(sizes.GPR),
-			isa.ClassVec: newRegPool(sizes.Vec),
-			isa.ClassFPR: newRegPool(sizes.FPR),
-		},
-	}, nil
+	a := &Allocator{sizes: sizes}
+	// One backing array holds every pool's read and write clocks.
+	n := [numRegClasses]int{isa.ClassGPR: sizes.GPR, isa.ClassVec: sizes.Vec, isa.ClassFPR: sizes.FPR}
+	clocks := make([]int, 2*(sizes.GPR+sizes.Vec+sizes.FPR))
+	for i := range clocks {
+		clocks[i] = -1
+	}
+	for c, k := range n {
+		a.pools[c] = regPool{lastRead: clocks[:k:k], lastWrite: clocks[k : 2*k : 2*k]}
+		clocks = clocks[2*k:]
+	}
+	return a, nil
+}
+
+// usedReg is a register already assigned to an operand of the
+// instruction being instantiated.
+type usedReg struct {
+	class isa.RegClass
+	reg   int
+}
+
+// taken reports whether register r of class c is in used.
+func taken(used []usedReg, c isa.RegClass, r int) bool {
+	for _, u := range used {
+		if u.reg == r && u.class == c {
+			return true
+		}
+	}
+	return false
 }
 
 // pickRead selects a register for a read (or read-write) operand:
 // the least recently written register, ties broken by the least recently
 // read one, excluding registers already used by this instruction.
-func (a *Allocator) pickRead(p *regPool, used map[int]bool) int {
+func (p *regPool) pickRead(c isa.RegClass, used []usedReg) int {
 	best := -1
-	for r := 0; r < p.n; r++ {
-		if used[r] {
+	for r := range p.lastRead {
+		if taken(used, c, r) {
 			continue
 		}
 		if best < 0 ||
@@ -142,10 +158,10 @@ func (a *Allocator) pickRead(p *regPool, used map[int]bool) int {
 
 // pickWrite selects a register for a write-only operand: the most
 // recently read register, ties broken by the least recently written one.
-func (a *Allocator) pickWrite(p *regPool, used map[int]bool) int {
+func (p *regPool) pickWrite(c isa.RegClass, used []usedReg) int {
 	best := -1
-	for r := 0; r < p.n; r++ {
-		if used[r] {
+	for r := range p.lastRead {
+		if taken(used, c, r) {
 			continue
 		}
 		if best < 0 ||
@@ -159,71 +175,85 @@ func (a *Allocator) pickWrite(p *regPool, used map[int]bool) int {
 
 // Instantiate assigns concrete operands to one instruction form.
 func (a *Allocator) Instantiate(f *isa.Form) (Inst, error) {
+	return a.instantiate(f, make([]Operand, len(f.Operands)))
+}
+
+// instantiate is Instantiate writing the operands into ops, which must
+// have len(f.Operands) elements.
+func (a *Allocator) instantiate(f *isa.Form, ops []Operand) (Inst, error) {
 	a.clock++
 	now := a.clock
-	inst := Inst{Form: f, Operands: make([]Operand, len(f.Operands))}
-	usedPerClass := map[isa.RegClass]map[int]bool{}
-	usedIn := func(c isa.RegClass) map[int]bool {
-		if usedPerClass[c] == nil {
-			usedPerClass[c] = make(map[int]bool)
-		}
-		return usedPerClass[c]
-	}
-
+	var buf [8]usedReg
+	used := buf[:0]
 	for i, op := range f.Operands {
 		switch op.Kind {
 		case isa.KindImm:
-			inst.Operands[i] = Operand{Kind: isa.KindImm, Imm: int64(1 + i)}
+			ops[i] = Operand{Kind: isa.KindImm, Imm: int64(1 + i)}
 		case isa.KindMem:
 			off := a.mem
 			a.mem = (a.mem + 1) % a.sizes.MemOffsets
-			inst.Operands[i] = Operand{
+			ops[i] = Operand{
 				Kind:   isa.KindMem,
 				Class:  isa.ClassGPR,
 				Reg:    0, // the dedicated base pointer
 				Offset: off,
 			}
 		case isa.KindReg:
-			pool, ok := a.pools[op.Class]
-			if !ok {
+			if op.Class <= isa.ClassNone || int(op.Class) >= numRegClasses {
 				return Inst{}, fmt.Errorf("measure: no pool for register class %v", op.Class)
 			}
-			used := usedIn(op.Class)
+			pool := &a.pools[op.Class]
 			var r int
 			if op.Read {
-				r = a.pickRead(pool, used)
+				r = pool.pickRead(op.Class, used)
 			} else {
-				r = a.pickWrite(pool, used)
+				r = pool.pickWrite(op.Class, used)
 			}
 			if r < 0 {
 				return Inst{}, fmt.Errorf("measure: register pool %v exhausted for %s",
 					op.Class, f.Name())
 			}
-			used[r] = true
+			used = append(used, usedReg{op.Class, r})
 			if op.Read {
 				pool.lastRead[r] = now
 			}
 			if op.Write {
 				pool.lastWrite[r] = now
 			}
-			inst.Operands[i] = Operand{Kind: isa.KindReg, Class: op.Class, Reg: r}
+			ops[i] = Operand{Kind: isa.KindReg, Class: op.Class, Reg: r}
 		}
 	}
-	return inst, nil
+	return Inst{Form: f, Operands: ops}, nil
 }
 
 // InstantiateSequence allocates operands for a whole instruction
 // sequence in order.
 func (a *Allocator) InstantiateSequence(seq []*isa.Form) ([]Inst, error) {
-	out := make([]Inst, 0, len(seq))
+	n := 0
 	for _, f := range seq {
-		inst, err := a.Instantiate(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, inst)
+		n += len(f.Operands)
+	}
+	out := make([]Inst, len(seq))
+	if err := a.instantiateInto(out, seq, make([]Operand, n)); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// instantiateInto allocates operands for seq in order into out (one
+// instruction per form), cutting every operand list from ops, which must
+// hold the sequence's total operand count.
+func (a *Allocator) instantiateInto(out []Inst, seq []*isa.Form, ops []Operand) error {
+	for i, f := range seq {
+		k := len(f.Operands)
+		inst, err := a.instantiate(f, ops[:k:k])
+		if err != nil {
+			return err
+		}
+		out[i] = inst
+		ops = ops[k:]
+	}
+	return nil
 }
 
 // regID maps a concrete register to its simulator dependency-tracking ID.
@@ -238,12 +268,38 @@ func regID(class isa.RegClass, reg int) int {
 	}
 }
 
-// ToMachineInst lowers a concrete instruction to the simulator's
-// representation: register reads/writes including memory pseudo-
-// registers (loads read, stores write the pseudo-register of their
-// offset) and the base pointer.
-func ToMachineInst(in Inst) machine.Inst {
+// lowerCounts returns the lengths of the simulator read and write lists
+// ToMachineInst produces for in.
+func lowerCounts(in *Inst) (reads, writes int) {
+	for i, op := range in.Operands {
+		spec := in.Form.Operands[i]
+		switch op.Kind {
+		case isa.KindMem:
+			reads++ // the base pointer
+			fallthrough
+		case isa.KindReg:
+			if spec.Read {
+				reads++
+			}
+			if spec.Write {
+				writes++
+			}
+		}
+	}
+	return reads, writes
+}
+
+// lower is ToMachineInst with the read and write lists cut from ids,
+// which must hold at least lowerCounts(in) elements; it returns the rest.
+func lower(in *Inst, ids []int) (machine.Inst, []int) {
 	mi := machine.Inst{Spec: in.Form.ID}
+	nr, nw := lowerCounts(in)
+	if nr > 0 {
+		mi.Reads = ids[:0:nr]
+	}
+	if nw > 0 {
+		mi.Writes = ids[nr : nr : nr+nw]
+	}
 	for i, op := range in.Operands {
 		spec := in.Form.Operands[i]
 		switch op.Kind {
@@ -266,14 +322,31 @@ func ToMachineInst(in Inst) machine.Inst {
 			}
 		}
 	}
+	return mi, ids[nr+nw:]
+}
+
+// ToMachineInst lowers a concrete instruction to the simulator's
+// representation: register reads/writes including memory pseudo-
+// registers (loads read, stores write the pseudo-register of their
+// offset) and the base pointer.
+func ToMachineInst(in Inst) machine.Inst {
+	nr, nw := lowerCounts(&in)
+	mi, _ := lower(&in, make([]int, nr+nw))
 	return mi
 }
 
-// ToMachineInsts lowers a sequence.
+// ToMachineInsts lowers a sequence, cutting every read and write list
+// from one backing array.
 func ToMachineInsts(seq []Inst) []machine.Inst {
+	n := 0
+	for i := range seq {
+		nr, nw := lowerCounts(&seq[i])
+		n += nr + nw
+	}
+	ids := make([]int, n)
 	out := make([]machine.Inst, len(seq))
-	for i, in := range seq {
-		out[i] = ToMachineInst(in)
+	for i := range seq {
+		out[i], ids = lower(&seq[i], ids)
 	}
 	return out
 }

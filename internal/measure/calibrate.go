@@ -56,25 +56,15 @@ func (h *Harness) Calibrate(probeExps []portmap.Experiment, probes int, tol floa
 	for {
 		worst := 0.0
 		for _, e := range probeExps {
-			body, instances, err := h.BuildLoop(e)
-			if err != nil {
-				return nil, err
-			}
 			vals := make([]float64, probes)
 			for p := range vals {
 				// Vary the warmup slightly so unstable steady states
 				// produce visibly different estimates. The sweep probes
 				// one body under many (warmup, iters) pairs — the exact
-				// shape the per-body period hint deduplicates — so route
-				// through the hinted path: after the first probe, later
-				// probes and doublings skip most detection hashing.
-				warm := h.opts.WarmupIters + p
-				var cyc float64
-				if h.opts.SimCache == nil {
-					cyc, err = h.mach.SteadyStateCycles(body, warm, iters)
-				} else {
-					cyc, err = h.steadyStateHinted(body, warm, iters)
-				}
+				// shape the per-body period hint deduplicates — so after
+				// the first probe, later probes and doublings skip most
+				// detection hashing when the harness has a SimCache.
+				cyc, instances, err := h.steadyState(e, h.opts.WarmupIters+p, iters)
 				if err != nil {
 					return nil, err
 				}

@@ -77,6 +77,9 @@ type Harness struct {
 	opts Options
 	rng  *rand.Rand
 
+	// sig[id] is form id's kernel-key signature (simcache.go).
+	sig []uint64
+
 	measurements int // number of Measure calls, for cost accounting
 
 	// Kernel-cache counters; atomic because MeasureAll simulates
@@ -111,6 +114,7 @@ func NewHarness(proc *uarch.Processor, opts Options) (*Harness, error) {
 		proc: proc,
 		mach: mach,
 		opts: opts,
+		sig:  formSignatures(mach, proc.ISA),
 		//pmevo:allow detrand -- seeded per-harness noise stream: draws happen in experiment order (MeasureAll contract), reproducible from Options.Seed
 		rng: rand.New(rand.NewSource(opts.Seed)),
 	}, nil
@@ -124,31 +128,13 @@ func (h *Harness) Processor() *uarch.Processor { return h.proc }
 // the number of experiment instances per loop iteration. This is the
 // input for both the simulator (via ToMachineInsts) and the C emitter.
 func (h *Harness) BuildConcreteLoop(e portmap.Experiment) ([]Inst, int, error) {
-	e = e.Normalize()
-	if len(e) == 0 {
-		return nil, 0, fmt.Errorf("measure: empty experiment")
-	}
-	var seqForms []*isa.Form
-	for _, t := range e {
-		if t.Inst < 0 || t.Inst >= h.proc.ISA.NumForms() {
-			return nil, 0, fmt.Errorf("measure: instruction %d out of range", t.Inst)
-		}
-		for j := 0; j < t.Count; j++ {
-			seqForms = append(seqForms, h.proc.ISA.Form(t.Inst))
-		}
-	}
-	instances := (h.opts.UnrollLength + len(seqForms) - 1) / len(seqForms)
-	alloc, err := NewAllocator(h.opts.Pools)
+	e, instances, err := h.unroll(e)
 	if err != nil {
 		return nil, 0, err
 	}
-	var body []Inst
-	for k := 0; k < instances; k++ {
-		insts, err := alloc.InstantiateSequence(seqForms)
-		if err != nil {
-			return nil, 0, err
-		}
-		body = append(body, insts...)
+	body, err := h.concreteBody(e, instances)
+	if err != nil {
+		return nil, 0, err
 	}
 	return body, instances, nil
 }
@@ -162,15 +148,81 @@ func (h *Harness) BuildLoop(e portmap.Experiment) ([]machine.Inst, int, error) {
 	return ToMachineInsts(body), instances, nil
 }
 
+// maxExperimentLen bounds the instruction instances of one experiment,
+// far above any generated experiment, so that counts from a command
+// line cannot overflow the body length or exhaust memory.
+const maxExperimentLen = 1 << 20
+
+// unroll validates an experiment and returns its normalized form and the
+// number of experiment instances per loop iteration: the smallest whole
+// number of repetitions reaching the unroll length. Every term must name
+// an instruction of the ISA and have a positive count. An experiment
+// already in normal form (instructions strictly increasing, as the
+// generated experiment sets are) is returned as is, without allocating.
+func (h *Harness) unroll(e portmap.Experiment) (portmap.Experiment, int, error) {
+	if len(e) == 0 {
+		return nil, 0, fmt.Errorf("measure: empty experiment")
+	}
+	n := 0
+	normal := true
+	for i, t := range e {
+		if t.Inst < 0 || t.Inst >= len(h.sig) {
+			return nil, 0, fmt.Errorf("measure: instruction %d out of range", t.Inst)
+		}
+		if t.Count <= 0 {
+			return nil, 0, fmt.Errorf("measure: instruction %d has non-positive count %d", t.Inst, t.Count)
+		}
+		if t.Count > maxExperimentLen-n {
+			return nil, 0, fmt.Errorf("measure: experiment exceeds %d instructions", maxExperimentLen)
+		}
+		n += t.Count
+		if i > 0 && t.Inst <= e[i-1].Inst {
+			normal = false
+		}
+	}
+	if !normal {
+		e = e.Normalize()
+	}
+	return e, (h.opts.UnrollLength + n - 1) / n, nil
+}
+
+// concreteBody allocates operands for instances repetitions of the
+// expanded form sequence of a normalized, validated experiment, cutting
+// all instructions and operands from one backing array each.
+func (h *Harness) concreteBody(e portmap.Experiment, instances int) ([]Inst, error) {
+	seq := make([]*isa.Form, 0, e.TotalCount())
+	ops := 0
+	for _, t := range e {
+		f := h.proc.ISA.Form(t.Inst)
+		for j := 0; j < t.Count; j++ {
+			seq = append(seq, f)
+		}
+		ops += t.Count * len(f.Operands)
+	}
+	alloc, err := NewAllocator(h.opts.Pools)
+	if err != nil {
+		return nil, err
+	}
+	body := make([]Inst, instances*len(seq))
+	operands := make([]Operand, instances*ops)
+	for k := 0; k < instances; k++ {
+		err := alloc.instantiateInto(body[k*len(seq):(k+1)*len(seq)], seq, operands[k*ops:(k+1)*ops])
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
+}
+
 // EmitProgram renders the complete C benchmark program for an experiment
 // as the paper's harness would generate it, using the loop bound that
 // reaches the configured loop time at the processor's clock.
 func (h *Harness) EmitProgram(e portmap.Experiment) (string, error) {
-	body, instances, err := h.BuildConcreteLoop(e)
+	cyclesPerIter, _, err := h.steadyState(e, h.opts.WarmupIters, h.opts.MeasureIters)
 	if err != nil {
 		return "", err
 	}
-	cyclesPerIter, err := h.steadyState(ToMachineInsts(body))
+	body, instances, err := h.BuildConcreteLoop(e)
 	if err != nil {
 		return "", err
 	}
@@ -190,19 +242,14 @@ func (h *Harness) Measure(e portmap.Experiment) (float64, error) {
 	return h.applyNoise(perInstance), nil
 }
 
-// simulate runs the deterministic part of a measurement: loop
-// construction and the steady-state simulation — through the harness's
-// kernel cache, which is keyed on the canonical body and so deduplicates
-// count-scaled experiment aliases and repeats across experiment sets —
-// yielding the noise-free cycles per experiment instance. It touches
-// only atomic harness state, so simulations of independent experiments
-// may run concurrently (the simulated machine is immutable).
+// simulate runs the deterministic part of a measurement — the
+// steady-state simulation of the experiment's loop, through the
+// harness's kernel cache — yielding the noise-free cycles per experiment
+// instance. It touches only atomic harness state, so simulations of
+// independent experiments may run concurrently (the simulated machine is
+// immutable).
 func (h *Harness) simulate(e portmap.Experiment) (float64, error) {
-	body, instances, err := h.BuildLoop(e)
-	if err != nil {
-		return 0, err
-	}
-	cyclesPerIter, err := h.steadyState(body)
+	cyclesPerIter, instances, err := h.steadyState(e, h.opts.WarmupIters, h.opts.MeasureIters)
 	if err != nil {
 		return 0, err
 	}
@@ -249,11 +296,15 @@ func (h *Harness) MeasureAll(ctx context.Context, es []portmap.Experiment) ([]fl
 	}); err != nil {
 		return nil, err
 	}
+	// A failed experiment fails the batch before any noise is drawn, for
+	// the same reason.
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiment %d: %w", i, err)
+		}
+	}
 	out := make([]float64, len(es))
 	for i := range es {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiment %d: %w", i, errs[i])
-		}
 		out[i] = h.applyNoise(perInstance[i])
 	}
 	return out, nil

@@ -2,15 +2,20 @@ package measure
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pmevo/internal/cachestore"
 	"pmevo/internal/cachetable"
+	"pmevo/internal/exp"
 	"pmevo/internal/isa"
 	"pmevo/internal/machine"
 	"pmevo/internal/portmap"
@@ -548,93 +553,189 @@ func TestMeasureAllKernelCacheBitExact(t *testing.T) {
 	}
 }
 
-// TestKernelCacheAliasedBodies pins the aliasing property the body-level
-// cache key exists for: a singleton {i→1} and its count-scaled variant
-// {i→k} unroll to the identical concrete loop body.
+// keyOf returns the kernel key of an experiment under the given
+// iteration counts.
+func keyOf(t *testing.T, h *Harness, e portmap.Experiment, warmup, measure int) uint64 {
+	t.Helper()
+	e, instances, err := h.unroll(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.kernelKey(e, instances, warmup, measure)
+}
+
+// TestKernelCacheAliasedBodies pins what the kernel key identifies: a
+// singleton {i→1} and its count-scaled variant {i→2} unroll to the
+// identical body and share a key, as do two forms of one semantic class
+// (identical simulator specs and operand shapes); the iteration counts
+// and every register-pool size are part of the key.
 func TestKernelCacheAliasedBodies(t *testing.T) {
 	proc := uarch.SKL()
 	h, err := NewHarness(proc, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := proc.ISA.FormByName("add_r64_r64")
-	b1, _, err := h.BuildLoop(portmap.Experiment{{Inst: f.ID, Count: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _, err := h.BuildLoop(portmap.Experiment{{Inst: f.ID, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b1) != len(b2) {
-		t.Fatalf("aliased bodies differ in length: %d vs %d", len(b1), len(b2))
-	}
-	k1 := simKey(h.mach, 1, 1, b1)
-	k2 := simKey(h.mach, 1, 1, b2)
-	if k1 != k2 {
-		t.Fatal("aliased bodies produce different cache keys")
-	}
-	// Distinct iteration options must not alias.
-	if simKey(h.mach, 1, 1, b1) == simKey(h.mach, 2, 1, b1) ||
-		simKey(h.mach, 1, 1, b1) == simKey(h.mach, 1, 2, b1) {
-		t.Error("cache key ignores the iteration counts")
-	}
-	// Class-level canonicalization: two forms with identical simulator
-	// specs (same semantic class) produce aliased singleton kernels.
-	g, ok := proc.ISA.FormByName("sub_r64_r64")
+	add, _ := proc.ISA.FormByName("add_r64_r64")
+	sub, ok := proc.ISA.FormByName("sub_r64_r64")
 	if !ok {
-		t.Skip("sub_r64_r64 not in ISA")
+		t.Fatal("sub_r64_r64 missing")
 	}
-	b3, _, err := h.BuildLoop(portmap.Experiment{{Inst: g.ID, Count: 1}})
+	e1 := portmap.Experiment{{Inst: add.ID, Count: 1}}
+	e2 := portmap.Experiment{{Inst: add.ID, Count: 2}}
+	k1 := keyOf(t, h, e1, 1, 1)
+	if keyOf(t, h, e2, 1, 1) != k1 {
+		t.Error("count-scaled aliases produce different kernel keys")
+	}
+	b1, _, err := h.BuildLoop(e1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.ID == f.ID {
-		t.Fatal("expected distinct forms")
+	b2, _, err := h.BuildLoop(e2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if simKey(h.mach, 1, 1, b3) != k1 {
+	if !reflect.DeepEqual(b1, b2) {
+		t.Error("count-scaled aliases unroll to different bodies")
+	}
+	if keyOf(t, h, portmap.Experiment{{Inst: sub.ID, Count: 1}}, 1, 1) != k1 {
 		t.Error("same-class forms (identical specs) should alias in the kernel cache")
+	}
+
+	if keyOf(t, h, e1, 2, 1) == k1 || keyOf(t, h, e1, 1, 2) == k1 {
+		t.Error("kernel key ignores the iteration counts")
+	}
+	e, instances, err := h.unroll(e1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.hintKey(e, instances) == k1 {
+		t.Error("hint key equals the kernel key")
+	}
+	for i, grow := range []func(*PoolSizes){
+		func(p *PoolSizes) { p.GPR++ },
+		func(p *PoolSizes) { p.Vec++ },
+		func(p *PoolSizes) { p.FPR++ },
+		func(p *PoolSizes) { p.MemOffsets++ },
+	} {
+		opts := DefaultOptions()
+		opts.Pools = DefaultPoolSizes(proc.ISA)
+		grow(&opts.Pools)
+		hp, err := NewHarness(proc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyOf(t, hp, e1, 1, 1) == k1 {
+			t.Errorf("pool field %d: kernel key ignores the pool size", i)
+		}
+		ep, instances, err := hp.unroll(e1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hp.hintKey(ep, instances) == h.hintKey(e, instances) {
+			t.Errorf("pool field %d: hint key ignores the pool size", i)
+		}
 	}
 }
 
-// TestSimKeyLengthPacking is the regression test for the read/write
-// list-length encoding. The old key packed both lengths into one
-// 16-bit-shifted word (len(reads)<<16 | len(writes)), so a write list
-// of ≥ 2^16 entries overflowed into the reads field and distinct
-// (reads, writes) splits collapsed to one packed word — e.g. (1, 2^16)
-// and (0, 2^16) OR to the same value. Lengths now enter the key as two
-// separate fingerprint combines, which is injective.
-func TestSimKeyLengthPacking(t *testing.T) {
-	// The packed-word collision the old encoding allowed.
-	oldPacked := func(reads, writes int) uint64 { return uint64(reads)<<16 | uint64(writes) }
-	if oldPacked(1, 1<<16) != oldPacked(0, 1<<16) {
-		t.Fatal("test premise wrong: legacy packing should conflate these length pairs")
+// TestKernelKeyOperandSplit is the form-signature terminator's
+// regression test: two form sequences whose concatenated operand shapes
+// are equal but split differently between the forms — (r, r)(r) versus
+// (r)(r, r) on identical simulator specs — lower to different bodies and
+// must not share a key, while a form with the same spec and shapes as
+// another still aliases it.
+func TestKernelKeyOperandSplit(t *testing.T) {
+	skl := uarch.SKL()
+	add, _ := skl.ISA.FormByName("add_r64_r64")
+	r := isa.Operand{Kind: isa.KindReg, Class: isa.ClassGPR, Width: 64, Read: true}
+	a := isa.New("split")
+	two := a.MustAddForm(isa.Form{Mnemonic: "two", Operands: []isa.Operand{r, r}, Class: "alu"})
+	one := a.MustAddForm(isa.Form{Mnemonic: "one", Operands: []isa.Operand{r}, Class: "alu"})
+	one2 := a.MustAddForm(isa.Form{Mnemonic: "onb", Operands: []isa.Operand{r}, Class: "alu"})
+	two2 := a.MustAddForm(isa.Form{Mnemonic: "twb", Operands: []isa.Operand{r, r}, Class: "alu"})
+	proc := &uarch.Processor{Name: "split", ISA: a, Config: skl.Config, ClockGHz: skl.ClockGHz}
+	for range a.Forms() {
+		proc.Specs = append(proc.Specs, skl.Specs[add.ID])
 	}
-
-	proc := uarch.SKL()
 	h, err := NewHarness(proc, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := make([]int, 1<<16)
-	body := func(reads, writes []int) []machine.Inst {
-		return []machine.Inst{{Spec: 0, Reads: reads, Writes: writes}}
+	x := portmap.Experiment{{Inst: two.ID, Count: 1}, {Inst: one.ID, Count: 1}}   // (r, r)(r)
+	y := portmap.Experiment{{Inst: one2.ID, Count: 1}, {Inst: two2.ID, Count: 1}} // (r)(r, r)
+	bx, _, err := h.BuildLoop(x)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := body(regs[:1], regs[:1<<16])
-	b := body(nil, regs[:1<<16])
-	if simKey(h.mach, 1, 1, a) == simKey(h.mach, 1, 1, b) {
-		t.Error("bodies whose legacy length words collide alias in the cache key")
+	by, _, err := h.BuildLoop(y)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Boundary splits with identical concatenated register streams must
-	// stay distinct (the job of the length prefix).
-	c := body([]int{1, 2}, []int{3})
-	d := body([]int{1}, []int{2, 3})
-	if simKey(h.mach, 1, 1, c) == simKey(h.mach, 1, 1, d) {
-		t.Error("read/write boundary splits alias in the cache key")
+	if reflect.DeepEqual(bx[0].Reads, by[0].Reads) {
+		t.Fatal("test premise wrong: the split should change the lowered read lists")
 	}
-	// And equal bodies must still agree.
-	if simKey(h.mach, 1, 1, a) != simKey(h.mach, 1, 1, body(regs[:1], regs[:1<<16])) {
-		t.Error("equal bodies produce different keys")
+	if keyOf(t, h, x, 1, 1) == keyOf(t, h, y, 1, 1) {
+		t.Error("operand lists split differently across forms alias in the kernel key")
+	}
+	if keyOf(t, h, portmap.Experiment{{Inst: two.ID, Count: 1}, {Inst: one2.ID, Count: 1}}, 1, 1) != keyOf(t, h, x, 1, 1) {
+		t.Error("forms with equal specs and operand shapes should alias")
+	}
+}
+
+// canonicalBody encodes a lowered body the way the simulator sees it:
+// spec content fingerprints in place of form IDs, register lists as is.
+func canonicalBody(mach *machine.Machine, body []machine.Inst) []uint64 {
+	var out []uint64
+	for _, in := range body {
+		out = append(out, mach.SpecFingerprint(in.Spec), uint64(len(in.Reads)), uint64(len(in.Writes)))
+		for _, r := range in.Reads {
+			out = append(out, uint64(r))
+		}
+		for _, w := range in.Writes {
+			out = append(out, uint64(w))
+		}
+	}
+	return out
+}
+
+// TestKernelKeyDeterminesBody checks the soundness argument of the
+// kernel key on real form sets: over every singleton and a seeded sample
+// of pair experiments of each processor, experiments with equal keys
+// build equal canonical bodies.
+func TestKernelKeyDeterminesBody(t *testing.T) {
+	for _, proc := range []*uarch.Processor{uarch.SKL(), uarch.ZEN(), uarch.A72()} {
+		h, err := NewHarness(proc, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := proc.ISA.NumForms()
+		es := exp.Singletons(n)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 1000; i++ {
+			es = append(es, portmap.Experiment{
+				{Inst: rng.Intn(n), Count: 1 + rng.Intn(3)},
+				{Inst: rng.Intn(n), Count: 1 + rng.Intn(3)},
+			})
+		}
+		byKey := map[uint64][]uint64{}
+		aliased := 0
+		for _, e := range es {
+			body, _, err := h.BuildLoop(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := keyOf(t, h, e, 1, 1)
+			canon := canonicalBody(h.mach, body)
+			if prev, ok := byKey[k]; ok {
+				aliased++
+				if !reflect.DeepEqual(prev, canon) {
+					t.Fatalf("%s: experiment %v shares a key with a different body", proc.Name, e)
+				}
+			}
+			byKey[k] = canon
+		}
+		if aliased == 0 {
+			t.Errorf("%s: no two experiments share a key; the check is vacuous", proc.Name)
+		}
 	}
 }
 
@@ -776,11 +877,7 @@ func TestSimCacheOwnership(t *testing.T) {
 	}
 	distinct := map[uint64]bool{}
 	for _, e := range es {
-		body, _, err := h.BuildLoop(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		distinct[simKey(h.mach, h.opts.WarmupIters, h.opts.MeasureIters, body)] = true
+		distinct[keyOf(t, h, e, h.opts.WarmupIters, h.opts.MeasureIters)] = true
 	}
 	for _, tag := range []string{"first separate cache", "second separate cache"} {
 		got, st := measureAll(NewSimCache())
@@ -1020,5 +1117,276 @@ func TestPeriodHintDiskRoundTrip(t *testing.T) {
 	}
 	if _, loaded, lerr := NewSimCache().Load(dir); loaded != 0 || !errors.Is(lerr, ErrNoValidHints) {
 		t.Fatalf("out-of-range hints loaded %d entries (err %v)", loaded, lerr)
+	}
+}
+
+// TestBuildLoopGolden pins register allocation and lowering bit for bit:
+// a digest of the lowered loop bodies (spec IDs, read and write lists in
+// order, instance counts) over every singleton and a seeded sample of
+// pair experiments of each ISA (bodies depend on the ISA, not the
+// processor). The digests were recorded before the allocator's pools,
+// per-instruction register sets and operand and register-list storage
+// were restructured; any change to a register choice or a list order
+// changes them.
+func TestBuildLoopGolden(t *testing.T) {
+	want := map[string]uint64{
+		"x86-64":  0x9937da0bbe7cbf5d,
+		"ARMv8-A": 0x68da2e602a9a851e,
+	}
+	for _, proc := range []*uarch.Processor{uarch.SKL(), uarch.A72()} {
+		h, err := NewHarness(proc, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := proc.ISA.NumForms()
+		es := exp.Singletons(n)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 2000; i++ {
+			es = append(es, portmap.Experiment{
+				{Inst: rng.Intn(n), Count: 1 + rng.Intn(3)},
+				{Inst: rng.Intn(n), Count: 1 + rng.Intn(3)},
+			})
+		}
+		d := fnv.New64a()
+		put := func(v int) {
+			var w [8]byte
+			binary.LittleEndian.PutUint64(w[:], uint64(v))
+			d.Write(w[:])
+		}
+		for _, e := range es {
+			body, instances, err := h.BuildLoop(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(instances)
+			put(len(body))
+			for _, in := range body {
+				put(in.Spec)
+				put(len(in.Reads))
+				for _, r := range in.Reads {
+					put(r)
+				}
+				put(len(in.Writes))
+				for _, w := range in.Writes {
+					put(w)
+				}
+			}
+		}
+		if got := d.Sum64(); got != want[proc.ISA.Name] {
+			t.Errorf("%s: body digest %#x, want %#x", proc.ISA.Name, got, want[proc.ISA.Name])
+		}
+	}
+}
+
+// TestNonPositiveCountsRejected is the regression test for experiments
+// with non-positive counts: one whose every count is ≤ 0 used to panic
+// with an integer divide by zero in BuildConcreteLoop, and a mixed one
+// measured as if its negative terms were absent. Every entry point
+// rejects them with an error, with or without a SimCache — as it does
+// counts whose sum would overflow the body length.
+func TestNonPositiveCountsRejected(t *testing.T) {
+	proc := uarch.SKL()
+	bad := []portmap.Experiment{
+		{{Inst: 0, Count: -1}},
+		{{Inst: 0, Count: 0}},
+		{{Inst: 0, Count: 1}, {Inst: 1, Count: -1}},
+		{{Inst: 0, Count: 1}, {Inst: 0, Count: -1}},
+		{{Inst: 0, Count: 1}, {Inst: 1, Count: 0}},
+		{{Inst: 0, Count: math.MaxInt}, {Inst: 1, Count: 1}},
+		{{Inst: 0, Count: maxExperimentLen + 1}},
+	}
+	for _, c := range []*SimCache{NewSimCache(), nil} {
+		opts := DefaultOptions()
+		opts.SimCache = c
+		h, err := NewHarness(proc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range bad {
+			if _, err := h.Measure(e); err == nil {
+				t.Errorf("Measure(%v) accepted", e)
+			}
+			if _, err := h.MeasureAll(context.Background(), []portmap.Experiment{{{Inst: 1, Count: 1}}, e}); err == nil {
+				t.Errorf("MeasureAll(%v) accepted", e)
+			}
+			if _, err := h.EmitProgram(e); err == nil {
+				t.Errorf("EmitProgram(%v) accepted", e)
+			}
+			if _, _, err := h.BuildLoop(e); err == nil {
+				t.Errorf("BuildLoop(%v) accepted", e)
+			}
+		}
+		// A failed batch draws no noise for its valid experiments either.
+		if h.Measurements() != 0 {
+			t.Errorf("rejected experiments were accounted as %d measurements", h.Measurements())
+		}
+	}
+}
+
+// TestStaleSpillKeysColdStart plants spill files written under the
+// content keys of the previous kernel-key encoding (whose entry keys
+// hashed lowered loop bodies, not form signatures): Load must reject both
+// with cachestore.ErrContentKey and seed nothing, and measurement must
+// cold-start with results identical to a fresh cache.
+func TestStaleSpillKeysColdStart(t *testing.T) {
+	const (
+		oldSimContentKey  = 0x706d65766f73696d // "pmevosim"
+		oldHintContentKey = 0x706d65766f686e74 // "pmevohnt"
+	)
+	if oldSimContentKey == simCacheContentKey || oldHintContentKey == hintCacheContentKey {
+		t.Fatal("content keys were not bumped with the key encoding")
+	}
+	proc := uarch.A72()
+	var es []portmap.Experiment
+	for i := 0; i < 6; i++ {
+		es = append(es, portmap.Experiment{{Inst: proc.ISA.Form(i).ID, Count: 1}})
+	}
+	measureAll := func(c *SimCache) ([]float64, CacheStats) {
+		opts := DefaultOptions()
+		opts.Seed = 5
+		opts.SimCache = c
+		h, err := NewHarness(proc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.MeasureAll(context.Background(), es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, h.CacheStats()
+	}
+	fresh := NewSimCache()
+	want, _ := measureAll(fresh)
+	dir := t.TempDir()
+	if err := fresh.Spill(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Re-stamp the current entries under the old content keys, as a
+	// -cache-dir from an older binary would hold them.
+	kt, ht := fresh.tables()
+	if err := cachestore.Save(filepath.Join(dir, simCacheFile), cachestore.SchemaSimCache, oldSimContentKey, kt.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cachestore.Save(filepath.Join(dir, hintCacheFile), cachestore.SchemaPeriodHints, oldHintContentKey, ht.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	c := NewSimCache()
+	kernels, hints, lerr := c.Load(dir)
+	if kernels != 0 || hints != 0 || !errors.Is(lerr, cachestore.ErrContentKey) {
+		t.Fatalf("stale spill loaded %d kernels, %d hints (err %v)", kernels, hints, lerr)
+	}
+	if !strings.Contains(lerr.Error(), simCacheFile) || !strings.Contains(lerr.Error(), hintCacheFile) {
+		t.Errorf("load diagnostic %q does not name both files", lerr)
+	}
+	got, st := measureAll(c)
+	for i := range es {
+		if got[i] != want[i] {
+			t.Errorf("experiment %d: after stale load %v != fresh %v", i, got[i], want[i])
+		}
+	}
+	if st.SimWarmHits != 0 || st.SimPeriodHints != 0 || st.SimMisses == 0 {
+		t.Errorf("stale load did not cold-start: %+v", st)
+	}
+}
+
+// TestMeasureAllCachedMatchesUncached is the differential test of the
+// early-keyed kernel cache: cached MeasureAll output is bit-identical to
+// a harness without a SimCache, over a slice of A72's full singleton and
+// pair set and over a ZEN SubsetMeasurer set.
+func TestMeasureAllCachedMatchesUncached(t *testing.T) {
+	compare := func(name string, cached, plain exp.BatchMeasurer, es []portmap.Experiment) {
+		t.Helper()
+		got, err := cached.MeasureAll(context.Background(), es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.MeasureAll(context.Background(), es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range es {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: experiment %v: cached %v != uncached %v", name, es[i], got[i], want[i])
+			}
+		}
+	}
+	harnesses := func(proc *uarch.Processor) (cached, plain *Harness) {
+		opts := DefaultOptions()
+		opts.Seed = 13
+		cached, err := NewHarness(proc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.SimCache = nil
+		plain, err = NewHarness(proc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cached, plain
+	}
+
+	proc, singles, pairs := a72Experiments(t)
+	es := append([]portmap.Experiment(nil), singles...)
+	for i := 0; i < len(pairs); i += 97 {
+		es = append(es, pairs[i])
+	}
+	cached, plain := harnesses(proc)
+	compare("A72", cached, plain, es)
+	if st := cached.CacheStats(); st.SimHits == 0 {
+		t.Errorf("A72: no kernel-cache hits (%+v); the comparison never took the hit path", st)
+	}
+
+	zen := uarch.ZEN()
+	var ids []int
+	for _, class := range zen.ISA.Classes() {
+		for i, f := range zen.ISA.FormsInClass(class) {
+			if i < 2 {
+				ids = append(ids, f.ID)
+			}
+		}
+	}
+	sub := exp.Singletons(len(ids))
+	for a := range ids {
+		for b := a + 1; b < len(ids); b += 3 {
+			sub = append(sub, portmap.Experiment{{Inst: a, Count: 1}, {Inst: b, Count: 1 + (a+b)%3}})
+		}
+	}
+	cached, plain = harnesses(zen)
+	compare("ZEN subset", SubsetMeasurer{H: cached, IDs: ids}, SubsetMeasurer{H: plain, IDs: ids}, sub)
+}
+
+// TestKernelCacheHitAllocs pins the hit path's cost: a kernel-cache hit
+// builds no loop, so it allocates nothing for an experiment in normal form
+// and no more than Normalize for one that is not.
+func TestKernelCacheHitAllocs(t *testing.T) {
+	proc := uarch.A72()
+	h, err := NewHarness(proc, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	normal := portmap.Experiment{{Inst: 3, Count: 1}, {Inst: 7, Count: 2}}
+	shuffled := portmap.Experiment{{Inst: 7, Count: 1}, {Inst: 3, Count: 1}, {Inst: 7, Count: 1}}
+	for _, e := range []portmap.Experiment{normal, shuffled} {
+		if _, err := h.simulate(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := h.CacheStats()
+	simulate := func(e portmap.Experiment) func() {
+		return func() {
+			if _, err := h.simulate(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, simulate(normal)); n != 0 {
+		t.Errorf("hit on a normal-form experiment allocates %v times", n)
+	}
+	norm := testing.AllocsPerRun(100, func() { shuffled.Normalize() })
+	if n := testing.AllocsPerRun(100, simulate(shuffled)); n > norm {
+		t.Errorf("hit allocates %v times, Normalize alone %v", n, norm)
+	}
+	if st := h.CacheStats(); st.SimMisses != before.SimMisses {
+		t.Errorf("hit path missed: %+v after %+v", st, before)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"pmevo/internal/cachestore"
 	"pmevo/internal/cachetable"
+	"pmevo/internal/isa"
 	"pmevo/internal/machine"
 	"pmevo/internal/portmap"
 )
@@ -34,10 +35,11 @@ import (
 // float the simulation would produce, and noise is drawn per measurement
 // in experiment order as before, so Measure/MeasureAll results are
 // bit-identical with the cache on or off, cold or warm (pinned by test).
-// Keys hash the machine fingerprint, the iteration counts, and the
-// canonical body (spec-content fingerprints plus register read/write
-// lists); key equality stands in for input equality at the same ~2^-64
-// odds as the decomposition fingerprints. The machine fingerprint in
+// Keys hash the machine fingerprint, the iteration counts, the register
+// pools and the sequence of per-form signatures the body unrolls to (see
+// "Kernel keys" below), so a lookup needs no loop to be built; key
+// equality stands in for input equality at the same ~2^-64 odds as the
+// decomposition fingerprints. The machine fingerprint in
 // every key also versions disk-loaded entries: a cache file from a
 // different simulator configuration simply never hits. Storage is the
 // bounded XOR-tagged atomic table of internal/cachetable.
@@ -52,26 +54,29 @@ const simCacheEntries = 1 << 16
 // smaller table than the kernel cache suffices.
 const simHintEntries = 1 << 12
 
-// The spill files inside a -cache-dir, and their content keys ("pmevosim",
-// "pmevohnt"). Each entry's own key carries the machine fingerprint, so
-// the file-level content keys are fixed schema-style constants.
+// The spill files inside a -cache-dir, and their content keys. Each
+// entry's own key carries the machine fingerprint, so the file-level
+// content keys are fixed constants that change only with the meaning of
+// the entry keys: a file written under an older key encoding fails to
+// load with cachestore.ErrContentKey and that half of the cache
+// cold-starts, instead of seeding slots no lookup can reach.
 const (
 	simCacheFile        = "simcache.pmc"
 	hintCacheFile       = "period-hints.pmc"
-	simCacheContentKey  = 0x706d65766f73696d
-	hintCacheContentKey = 0x706d65766f686e74
+	simCacheContentKey  = 0x706d65766f736d32 // "pmevosm2"
+	hintCacheContentKey = 0x706d65766f686e32 // "pmevohn2"
 )
 
 // SimCache is a kernel-simulation cache: the steady-state cycles per
-// iteration of each canonical loop body, the per-body period hints, and
-// the set of keys seeded from disk. Pollution across the harnesses that
-// share one is harmless by construction: equal keys map to equal
+// iteration of each loop body by kernel key, the per-body period hints,
+// and the set of keys seeded from disk. Pollution across the harnesses
+// that share one is harmless by construction: equal keys map to equal
 // deterministic simulation results. Lookups are lock-free and safe for
 // concurrent use (MeasureAll fans simulations out over all cores).
 //
-// The hint table maps a body fingerprint (machine + canonical body,
-// without iteration counts) to the steady-state period in body
-// iterations detected by a previous simulation of that body. When the
+// The hint table maps a body key (the kernel key without iteration
+// counts) to the steady-state period in body iterations detected by a
+// previous simulation of that body. When the
 // kernel table misses only because the iteration counts differ — the
 // calibration sweep and harnesses with different warmup/measure budgets
 // re-simulate bodies the cache has already seen — the stored period is
@@ -82,7 +87,7 @@ type SimCache struct {
 	// alloc defers the tables (1 MiB + 64 KiB) to first use, so a
 	// harness that never simulates costs nothing to build.
 	alloc   sync.Once
-	kernels *cachetable.Table // float64 bits by simKey
+	kernels *cachetable.Table // float64 bits by kernelKey
 	hints   *cachetable.Table // period in iterations by hintKey
 	// warm is the set of keys seeded by the last Load that found a
 	// kernel file, used to attribute hits to the warm start
@@ -174,56 +179,119 @@ func (c *SimCache) Spill(dir string) error {
 	)
 }
 
-// simKey hashes one steady-state simulation request into its canonical
-// form: instructions are identified by spec *content* fingerprint, not
-// spec ID, so two bodies whose instructions decompose and behave
-// identically alias even when they reference different forms. Real form
-// sets make this the dominant redundancy: all instruction forms of a
-// semantic class (add/sub/and/... on the same operand shapes) share one
-// simulator spec, so their kernels — identical up to form IDs — collapse
-// to one simulation. The length-prefixed encoding of reads/writes keeps
-// genuinely distinct bodies from aliasing; the two list lengths are
-// folded as separate fingerprint combines (packing them into one shifted
-// word let ≥ 2^16-entry write lists alias other length splits).
-func simKey(mach *machine.Machine, warmup, measure int, body []machine.Inst) uint64 {
-	key := portmap.CombineFingerprints(0x706d65766f73696d, mach.Fingerprint()) // "pmevosim"
+// Kernel keys.
+//
+// A key is computed from the experiment before any loop is built, so a
+// hit does no register allocation or lowering; only a miss builds the
+// body it then simulates. It hashes, in order: kernelKeySalt, the
+// machine fingerprint, the warmup and measure iteration counts, the four
+// register-pool sizes, the body length, and the signature of every body
+// instruction in unroll order (instances × the expanded, normalized
+// experiment). A form's signature (formSignatures) combines its spec
+// content fingerprint with the operand shape the allocator and
+// ToMachineInst read — kind, plus class for registers, plus the read and
+// write flags — and ends with a terminator, so operand lists cannot split
+// differently across neighbouring forms. Immediates contribute nothing:
+// they neither advance the allocator nor reach the simulator.
+//
+// Why equal keys imply equal simulations. The allocator is
+// deterministic: each operand it assigns depends only on the pool sizes
+// and the shapes of the operands allocated before it (its clocks advance
+// once per instruction, the memory offset once per memory operand), and
+// lowering reads only those assigned operands and the shapes. So the
+// lowered body — every register read and write list — is a function of
+// (pools, the sequence of operand shapes), which the key covers. The
+// simulator sees each instruction's spec only through its content
+// (latency and µop ports; machine.SpecFingerprint), and the machine
+// fingerprint covers its configuration. Equal keys therefore mean equal
+// canonical bodies on equal machines under equal iteration counts, up to
+// the ~2^-64 collision odds of the decomposition fingerprints. The
+// converse does not hold, and need not: a key can be finer than the body
+// (two shape sequences may allocate to identical register lists), which
+// only costs a redundant simulation. Count-scaled aliases ({i→1} and
+// {i→2} unroll to the same 50 signatures) and forms of one semantic class
+// (equal specs and operand shapes) still collapse to one simulation.
+//
+// The period-hint key is the same hash under hintKeySalt without the
+// iteration counts, so a body simulated under one (warmup, measure)
+// budget shares its detected period with every other budget.
+const (
+	kernelKeySalt = 0x706d65766f6b726e // "pmevokrn"
+	hintKeySalt   = 0x706d65766f686b32 // "pmevohk2"
+	formSigSalt   = 0x706d65766f736967 // "pmevosig"
+)
+
+// Operand-shape words of a form signature. A register operand adds its
+// class as a second word; the terminator differs from every leading word.
+const (
+	sigEnd = iota
+	sigReg = 4 // | read<<1 | write
+	sigMem = 8 // | read<<1 | write
+)
+
+// formSignatures returns the kernel-key signature of every form of the
+// ISA (see "Kernel keys" above).
+func formSignatures(mach *machine.Machine, a *isa.ISA) []uint64 {
+	sig := make([]uint64, a.NumForms())
+	for id := range sig {
+		f := a.Form(id)
+		h := portmap.CombineFingerprints(formSigSalt, mach.SpecFingerprint(id))
+		for _, op := range f.Operands {
+			rw := uint64(0)
+			if op.Read {
+				rw |= 2
+			}
+			if op.Write {
+				rw |= 1
+			}
+			switch op.Kind {
+			case isa.KindReg:
+				h = portmap.CombineFingerprints(h, sigReg|rw)
+				h = portmap.CombineFingerprints(h, uint64(op.Class))
+			case isa.KindMem:
+				h = portmap.CombineFingerprints(h, sigMem|rw)
+			}
+		}
+		sig[id] = portmap.CombineFingerprints(h, sigEnd)
+	}
+	return sig
+}
+
+// kernelKey is the kernel-table key of a normalized, validated
+// experiment unrolled instances times, simulated under the given
+// iteration counts.
+func (h *Harness) kernelKey(e portmap.Experiment, instances, warmup, measure int) uint64 {
+	key := portmap.CombineFingerprints(kernelKeySalt, h.mach.Fingerprint())
 	key = portmap.CombineFingerprints(key, uint64(warmup))
 	key = portmap.CombineFingerprints(key, uint64(measure))
-	key = combineBody(key, mach, body)
+	return h.combineBody(key, e, instances)
+}
+
+// hintKey is kernelKey without the iteration counts, under its own salt.
+func (h *Harness) hintKey(e portmap.Experiment, instances int) uint64 {
+	key := portmap.CombineFingerprints(hintKeySalt, h.mach.Fingerprint())
+	return h.combineBody(key, e, instances)
+}
+
+// combineBody folds the pool sizes, the body length and the body's form
+// signatures in unroll order into key (shared by kernelKey and hintKey).
+func (h *Harness) combineBody(key uint64, e portmap.Experiment, instances int) uint64 {
+	p := h.opts.Pools
+	key = portmap.CombineFingerprints(key, uint64(p.GPR))
+	key = portmap.CombineFingerprints(key, uint64(p.Vec))
+	key = portmap.CombineFingerprints(key, uint64(p.FPR))
+	key = portmap.CombineFingerprints(key, uint64(p.MemOffsets))
+	key = portmap.CombineFingerprints(key, uint64(instances*e.TotalCount()))
+	for k := 0; k < instances; k++ {
+		for _, t := range e {
+			s := h.sig[t.Inst]
+			for j := 0; j < t.Count; j++ {
+				key = portmap.CombineFingerprints(key, s)
+			}
+		}
+	}
 	if key == 0 {
 		key = 1 // 0 would read an empty slot as a hit
-	}
-	return key
-}
-
-// hintKey is the per-body period-hint key: simKey's canonical body
-// encoding without the iteration counts, under its own salt, so a body
-// simulated under one (warmup, measure) budget shares its detected
-// period with every other budget.
-func hintKey(mach *machine.Machine, body []machine.Inst) uint64 {
-	key := portmap.CombineFingerprints(0x706d65766f686e74, mach.Fingerprint()) // "pmevohnt"
-	key = combineBody(key, mach, body)
-	if key == 0 {
-		key = 1
-	}
-	return key
-}
-
-// combineBody folds the canonical loop-body encoding into key (shared by
-// simKey and hintKey; see simKey for why spec-content fingerprints and
-// length-prefixed register lists).
-func combineBody(key uint64, mach *machine.Machine, body []machine.Inst) uint64 {
-	for i := range body {
-		in := &body[i]
-		key = portmap.CombineFingerprints(key, mach.SpecFingerprint(in.Spec))
-		key = portmap.CombineFingerprints(key, uint64(len(in.Reads)))
-		key = portmap.CombineFingerprints(key, uint64(len(in.Writes)))
-		for _, r := range in.Reads {
-			key = portmap.CombineFingerprints(key, uint64(r))
-		}
-		for _, w := range in.Writes {
-			key = portmap.CombineFingerprints(key, uint64(w))
-		}
 	}
 	return key
 }
@@ -261,19 +329,36 @@ func (h *Harness) CacheStats() CacheStats {
 // the snapshot ring; anything larger is dropped on read.
 const maxPeriodHint = 1 << 20
 
-// steadyState returns the noiseless steady-state cycles per iteration of
-// a loop body, through the harness's SimCache if it has one. Safe for
-// concurrent use (MeasureAll fans simulations out over all cores).
-func (h *Harness) steadyState(body []machine.Inst) (float64, error) {
+// steadyState returns the noiseless steady-state cycles per loop
+// iteration of an experiment under the given iteration counts, and the
+// number of experiment instances per iteration. It is the one path from
+// an experiment to a simulation (Measure, MeasureAll, EmitProgram and
+// Calibrate all use it): it validates the experiment, derives the unroll,
+// and, given a SimCache, looks the kernel up before building anything —
+// the loop is built, lowered and simulated only on a miss, whose period
+// is then hinted by any earlier simulation of the same body under other
+// iteration counts (machine.SteadyStateCyclesHinted; results are
+// bit-identical with or without a hint). Safe for concurrent use
+// (MeasureAll fans simulations out over all cores).
+func (h *Harness) steadyState(e portmap.Experiment, warmup, measure int) (float64, int, error) {
+	e, instances, err := h.unroll(e)
+	if err != nil {
+		return 0, 0, err
+	}
 	c := h.opts.SimCache
 	if c == nil {
 		// The uncached path is the pre-cache cost model exactly: no key
 		// hashing, no period hints. Benchmarks that compare against it
 		// measure the full caching layer, hints included.
-		return h.mach.SteadyStateCycles(body, h.opts.WarmupIters, h.opts.MeasureIters)
+		body, err := h.loweredBody(e, instances)
+		if err != nil {
+			return 0, 0, err
+		}
+		cyc, err := h.mach.SteadyStateCycles(body, warmup, measure)
+		return cyc, instances, err
 	}
-	kernels, _ := c.tables()
-	key := simKey(h.mach, h.opts.WarmupIters, h.opts.MeasureIters, body)
+	kernels, hints := c.tables()
+	key := h.kernelKey(e, instances, warmup, measure)
 	if v, ok := kernels.Get(key); ok {
 		h.simHits.Add(1)
 		if warm := c.warm.Load(); warm != nil {
@@ -281,29 +366,13 @@ func (h *Harness) steadyState(body []machine.Inst) (float64, error) {
 				h.simWarmHits.Add(1)
 			}
 		}
-		return math.Float64frombits(v), nil
+		return math.Float64frombits(v), instances, nil
 	}
-	v, err := h.steadyStateHinted(body, h.opts.WarmupIters, h.opts.MeasureIters)
+	body, err := h.loweredBody(e, instances)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	kernels.Put(key, math.Float64bits(v))
-	h.simMisses.Add(1)
-	return v, nil
-}
-
-// steadyStateHinted simulates a body under the given iteration budget,
-// consulting the harness's hint table (the SimCache must be non-nil): a
-// kernel-cache miss that is "the same body under different iteration
-// counts" — the calibration sweep, or harnesses with different
-// warmup/measure budgets — reuses the period detected by the earlier
-// run, so detection re-engages with almost no hashing. Whatever period
-// this run detects is stored back for the next one. Results are
-// bit-identical with or without a hint (hints only gate which
-// iterations are hashed; machine.SteadyStateCyclesHinted).
-func (h *Harness) steadyStateHinted(body []machine.Inst, warmup, measure int) (float64, error) {
-	_, hints := h.opts.SimCache.tables()
-	hk := hintKey(h.mach, body)
+	hk := h.hintKey(e, instances)
 	hint := 0
 	if v, ok := hints.Get(hk); ok && v > 1 && v <= maxPeriodHint {
 		hint = int(v)
@@ -311,10 +380,22 @@ func (h *Harness) steadyStateHinted(body []machine.Inst, warmup, measure int) (f
 	}
 	cyc, res, err := h.mach.SteadyStateCyclesHinted(body, warmup, measure, hint)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if p := res.DetectedPeriodIters; p > 1 && p != hint {
 		hints.Put(hk, uint64(p))
 	}
-	return cyc, nil
+	kernels.Put(key, math.Float64bits(cyc))
+	h.simMisses.Add(1)
+	return cyc, instances, nil
+}
+
+// loweredBody builds the simulator loop body of a normalized, validated
+// experiment unrolled instances times.
+func (h *Harness) loweredBody(e portmap.Experiment, instances int) ([]machine.Inst, error) {
+	body, err := h.concreteBody(e, instances)
+	if err != nil {
+		return nil, err
+	}
+	return ToMachineInsts(body), nil
 }
