@@ -145,7 +145,7 @@ func (o oracle) Measure(e portmap.Experiment) (float64, error) {
 // TestServiceMatchesDirectDavg checks the pre-flattened batched service
 // against a direct, allocating computation of Davg, bitwise. The port
 // counts cover both fast-path routes: subset-sum tables up to
-// throughput.MaxUnitTablePorts (4 and 10 ports) and the unit-term parts
+// throughput.MaxUnitTablePorts (4 and 10 ports) and Evaluator.ThroughputOf
 // above it (12 ports).
 func TestServiceMatchesDirectDavg(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

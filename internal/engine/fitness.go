@@ -100,10 +100,10 @@ type Service struct {
 }
 
 // evalScratch is one worker's reusable evaluation state: the throughput
-// evaluator plus per-instruction derived data — subset-sum unit tables
-// and pre-flattened unit mass terms — keyed by decomposition
-// fingerprint, so they are (re)built only when an instruction's
-// decomposition actually differs from the one last seen by this worker.
+// evaluator plus per-instruction subset-sum unit tables keyed by
+// decomposition fingerprint, so they are (re)built only when an
+// instruction's decomposition actually differs from the one last seen
+// by this worker.
 // Experiments sharing an instruction reuse them within a candidate, and
 // candidates sharing decompositions reuse them across the batch.
 type evalScratch struct {
@@ -114,10 +114,6 @@ type evalScratch struct {
 	tblInf []bool
 	tables [][]float64 // per instruction: 2^k table entries, then k+1 class maxima
 	tparts []throughput.TablePart
-
-	unitFp []uint64 // fingerprint each unit-term list was built from
-	unit   [][]portmap.MassTerm
-	parts  []throughput.Part
 }
 
 // ensure sizes the scratch for the instruction count and invalidates the
@@ -127,12 +123,10 @@ func (sc *evalScratch) ensure(numInsts, numPorts int) {
 		sc.tblFp = make([]uint64, numInsts)
 		sc.tblInf = make([]bool, numInsts)
 		sc.tables = make([][]float64, numInsts)
-		sc.unitFp = make([]uint64, numInsts)
-		sc.unit = make([][]portmap.MassTerm, numInsts)
 	}
 	if sc.k != numPorts {
 		sc.k = numPorts
-		clear(sc.tblFp) // unit terms are port-independent and stay valid
+		clear(sc.tblFp)
 	}
 }
 
@@ -153,23 +147,6 @@ func (sc *evalScratch) tableFor(m *portmap.Mapping, inst, size int) throughput.T
 		sc.tblFp[inst] = fp
 	}
 	return throughput.TablePart{Table: buf[:size], Max: buf[size:], Inf: sc.tblInf[inst]}
-}
-
-// unitFor returns instruction inst's pre-flattened unit mass terms (its
-// µop decomposition with Mass = µop count), rebuilding only on
-// fingerprint change.
-func (sc *evalScratch) unitFor(m *portmap.Mapping, inst int) []portmap.MassTerm {
-	fp := m.Fingerprint(inst)
-	if sc.unitFp[inst] == fp {
-		return sc.unit[inst]
-	}
-	u := sc.unit[inst][:0]
-	for _, uc := range m.Decomp[inst] {
-		u = append(u, portmap.MassTerm{Ports: uc.Ports, Mass: float64(uc.Count)})
-	}
-	sc.unit[inst] = u
-	sc.unitFp[inst] = fp
-	return u
 }
 
 // NewService compiles the measured experiment set into a Service.
@@ -252,9 +229,9 @@ func (s *Service) experiment(i int) portmap.Experiment {
 
 // predictOne predicts experiment i under m on the fast path: through
 // the per-instruction subset-sum tables in sc for up to
-// throughput.MaxUnitTablePorts ports, and through the pre-flattened unit
-// terms for wider port universes. sc must have been ensured for m. Both
-// routes are bit-identical to ThroughputOf.
+// throughput.MaxUnitTablePorts ports, and through ThroughputOf for wider
+// port universes (no paper machine has them). sc must have been ensured
+// for m. The table route is bit-identical to ThroughputOf.
 func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64 {
 	if m.NumPorts <= throughput.MaxUnitTablePorts {
 		size := 1 << uint(m.NumPorts)
@@ -266,11 +243,7 @@ func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64
 		}
 		return throughput.BottleneckTables(sc.tparts, m.NumPorts)
 	}
-	sc.parts = sc.parts[:0]
-	for _, t := range s.experiment(i) {
-		sc.parts = append(sc.parts, throughput.Part{Terms: sc.unitFor(m, t.Inst), Scale: float64(t.Count)})
-	}
-	return sc.ev.BottleneckParts(sc.parts)
+	return sc.ev.ThroughputOf(m, s.experiment(i))
 }
 
 // davgFast computes Davg(m) on the fast path, optionally capturing the

@@ -31,8 +31,9 @@ import (
 // The two runs search with different population layouts, so their
 // results are not expected to be bit-identical — both Davg values are
 // reported. The determinism and bit-exactness contracts of the island
-// model itself (Islands=1 ≡ legacy, results independent of Workers)
-// are pinned by the internal/evo tests, not here.
+// model itself (one island is the single-population algorithm of §4.4,
+// results are independent of Workers) are pinned by the internal/evo
+// tests, not here.
 type EvoBenchResult struct {
 	NumInsts    int
 	NumPorts    int
@@ -46,7 +47,7 @@ type EvoBenchResult struct {
 	MigrationInterval int
 	MigrationCount    int
 
-	// Single is the pre-island configuration, Island the sharded one.
+	// Single is the one-island configuration, Island the sharded one.
 	Single EvoBenchRun
 	Island EvoBenchRun
 }

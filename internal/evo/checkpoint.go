@@ -367,20 +367,23 @@ func (c *checkpointer) maybe(gensDone int, mk func() *ckptState) {
 	c.saveState(mk(), gensDone)
 }
 
-// barrier writes a checkpoint at a migration barrier (every barrier, by
-// contract — the natural island-model checkpoint cadence).
-func (c *checkpointer) barrier(gensDone int, mk func() *ckptState) {
-	if !c.enabled() {
-		return
+// nextDue returns the generation count at which the next periodic
+// checkpoint falls due — never at or before gensDone, so a failed save
+// is retried at the next generation instead of stalling the epoch
+// schedule — or math.MaxInt when periodic checkpoints are off.
+func (c *checkpointer) nextDue(gensDone int) int {
+	if !c.enabled() || c.interval < 0 {
+		return math.MaxInt
 	}
-	c.saveState(mk(), gensDone)
+	return max(c.lastGens+c.interval, gensDone+1)
 }
 
-// interruptOrDone writes the final checkpoint of a run: on
-// interruption (the state the resume will continue from) and on
-// completion of the generational phase (so a resume with a larger
-// MaxGenerations extends the run).
-func (c *checkpointer) interruptOrDone(gensDone int, mk func() *ckptState) {
+// save writes a checkpoint unconditionally: after every migration (the
+// exchange rewrote populations outside the islands' generation loops,
+// so a resume must never replay it), on interruption (the state the
+// resume will continue from), and on completion of the generational
+// phase (so a resume with a larger MaxGenerations extends the run).
+func (c *checkpointer) save(gensDone int, mk func() *ckptState) {
 	if !c.enabled() {
 		return
 	}

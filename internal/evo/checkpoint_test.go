@@ -3,6 +3,8 @@ package evo
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -252,6 +254,64 @@ func TestResumeBudgetExtension(t *testing.T) {
 	sameTrajectory(t, "budget extension", resumed, full)
 }
 
+// TestResumeIslandsBetweenMigrations stops an island run between two
+// migrations — canceled at a periodic checkpoint barrier, or at the end
+// of a smaller budget — and resumes it: the checkpoint must hold
+// neither a pending nor a premature exchange, so the resumed run
+// migrates on the uninterrupted run's schedule and finishes
+// bit-identical to it.
+func TestResumeIslandsBetweenMigrations(t *testing.T) {
+	opts := ckptOpts()
+	opts.Islands = 2
+	opts.MigrationInterval = 5
+	full := mustRun(t, opts)
+
+	cases := []struct {
+		name    string
+		stop    func(o *Options) context.Context
+		wantErr error
+	}{
+		{"canceled-at-checkpoint", func(o *Options) context.Context {
+			o.CheckpointInterval = 2
+			ctx, hook := cancelAt(7)
+			o.OnGeneration = hook
+			return ctx
+		}, ErrCanceled},
+		{"budget-ends", func(o *Options) context.Context {
+			o.MaxGenerations = 7
+			return context.Background()
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sopts := opts
+			sopts.CheckpointDir = dir
+			ctx := tc.stop(&sopts)
+			partial, err := Run(ctx, measuredSet(t, hiddenMapping()), sopts)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("stopped run: err = %v, want %v", err, tc.wantErr)
+			}
+			if partial.Generations != 7 {
+				t.Fatalf("stopped at generation 7, result reports %d", partial.Generations)
+			}
+
+			ropts := opts
+			ropts.CheckpointDir = dir
+			var logs []string
+			ropts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
+			resumed, err := Resume(context.Background(), measuredSet(t, hiddenMapping()), ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !containsLog(logs, "restored checkpoint at generation 7") {
+				t.Errorf("resume did not restore the generation-7 checkpoint:\n%s", strings.Join(logs, "\n"))
+			}
+			sameTrajectory(t, "resumed", resumed, full)
+		})
+	}
+}
+
 // TestResumeMissingCheckpointColdStarts: Resume against an empty
 // directory must log a diagnostic and produce the cold-start result —
 // never fail the run.
@@ -402,6 +462,101 @@ func TestCheckpointTornWriteColdStarts(t *testing.T) {
 		t.Errorf("torn checkpoint did not log a cold-start diagnostic:\n%s", strings.Join(logs, "\n"))
 	}
 	sameTrajectory(t, "torn write", res, full)
+}
+
+// TestCheckpointBytesGolden pins the checkpoint file byte for byte: the
+// SHA-256 of the blob a run leaves in its checkpoint directory, for one
+// population run to completion, the same run canceled at generation 5,
+// and three migrating islands run to completion. The digests were
+// recorded before single-population runs moved onto the island
+// coordinator; any change to the trajectory, the RNG positions, or the
+// payload layout changes them.
+func TestCheckpointBytesGolden(t *testing.T) {
+	cases := []struct {
+		name     string
+		islands  int
+		cancelAt int // 0: run to completion
+		want     string
+	}{
+		{"islands1-complete", 1, 0, "36f41cbab39df24d8bf858e05df35622c1faf67c70a2e8bad00efc82b50e5763"},
+		{"islands1-canceled-gen5", 1, 5, "5e44d4fdf0ee23afd32b4afbc701ec02c4c215a145661b3ccc04cff109602a66"},
+		{"islands3-complete", 3, 0, "bdaceaff1b767f0518566f0b61d48f48ad010aad26e4aef7dbde66a61f5798f8"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := ckptOpts()
+			opts.Islands = tc.islands
+			opts.MigrationInterval = 2
+			opts.CheckpointInterval = 3
+			opts.CheckpointDir = t.TempDir()
+			ctx := context.Background()
+			if tc.cancelAt > 0 {
+				ctx, opts.OnGeneration = cancelAt(tc.cancelAt)
+			}
+			_, err := Run(ctx, measuredSet(t, hiddenMapping()), opts)
+			if tc.cancelAt > 0 && !errors.Is(err, ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
+			}
+			if tc.cancelAt == 0 && err != nil {
+				t.Fatal(err)
+			}
+			blob, err := os.ReadFile(CheckpointPath(opts.CheckpointDir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("checkpoint digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckpointCadence pins that every run shape honours
+// CheckpointInterval: with one or two islands, migrating or not, a
+// checkpoint lands at least every CheckpointInterval generations and
+// at the end of the generational phase, and the last OnGeneration call
+// reports Result.Generations. The extra barriers never migrate, so the
+// result matches the same run without checkpointing.
+func TestCheckpointCadence(t *testing.T) {
+	const interval = 2
+	for _, islands := range []int{1, 2} {
+		for _, migration := range []int{5, -1} {
+			t.Run(fmt.Sprintf("islands%d-migration%d", islands, migration), func(t *testing.T) {
+				opts := ckptOpts()
+				opts.MaxGenerations = 12
+				opts.Islands = islands
+				opts.MigrationInterval = migration
+				plain := mustRun(t, opts)
+				opts.CheckpointInterval = interval
+				opts.CheckpointDir = t.TempDir()
+				var written []int
+				opts.Log = func(f string, a ...any) {
+					var g int
+					if _, err := fmt.Sscanf(fmt.Sprintf(f, a...), "checkpoint written at generation %d", &g); err == nil {
+						written = append(written, g)
+					}
+				}
+				lastGen := -1
+				opts.OnGeneration = func(g int) { lastGen = g }
+				res := mustRun(t, opts)
+				sameTrajectory(t, "checkpointed", res, plain)
+				if lastGen != res.Generations {
+					t.Errorf("last OnGeneration(%d), want Result.Generations %d", lastGen, res.Generations)
+				}
+				prev := 0
+				for _, g := range written {
+					if g-prev > interval {
+						t.Errorf("checkpoints at generations %v: gap %d..%d exceeds %d", written, prev, g, interval)
+					}
+					prev = g
+				}
+				if prev != res.Generations {
+					t.Errorf("checkpoints at generations %v, last should be %d", written, res.Generations)
+				}
+			})
+		}
+	}
 }
 
 // TestPlanCheckpointIntervalClamping pins the clamp-at-the-seam

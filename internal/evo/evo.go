@@ -28,20 +28,23 @@
 //
 // # Island model
 //
-// With Options.Islands > 1 the population is sharded into sub-populations
-// ("islands") that run the algorithm above independently and
-// concurrently, each on its own goroutine with its own deterministic RNG
-// stream split from Options.Seed. Every Options.MigrationInterval
-// generations the islands exchange individuals on a ring: island k's
-// best Options.MigrationCount individuals (cloned) replace island
-// (k+1 mod N)'s worst. All islands share one engine.Service — and with
-// it the read-only experiment set — through per-island
-// engine.BatchEvaluator handles, each owning its own evaluation scratch.
-// Because islands only interact at epoch barriers (migration is applied
-// serially, collect-then-apply) and share no mutable evaluation state,
-// a fixed Seed and a fixed Islands produce bit-identical results
-// regardless of Workers or goroutine scheduling; Islands <= 1
-// reproduces the single-population algorithm bit-exactly.
+// Every run goes through one coordinator that evolves Options.Islands
+// sub-populations ("islands") in epochs; a single population is the
+// one-island case. Each island runs the algorithm above on its own
+// deterministic RNG stream: the one island of a single-population run
+// draws from Options.Seed itself, several islands draw from sub-seeds
+// split from it. Each island runs concurrently on its own goroutine, and
+// every Options.MigrationInterval generations the islands exchange
+// individuals on a ring: island k's best Options.MigrationCount
+// individuals (cloned) replace island (k+1 mod N)'s worst. All islands
+// share one engine.Service — and with it the read-only experiment set —
+// through per-island engine.BatchEvaluator handles, each owning its own
+// evaluation scratch; the one island of a single-population run uses
+// the Service's parallel batch path instead. Because islands only
+// interact at epoch barriers (migration is applied serially,
+// collect-then-apply) and share no mutable evaluation state, a fixed
+// Seed and a fixed Islands produce bit-identical results regardless of
+// Workers or goroutine scheduling.
 package evo
 
 import (
@@ -119,17 +122,17 @@ type Options struct {
 	// PopulationSize/Islands individuals (remainder spread over the
 	// first islands) that evolve concurrently, each on its own RNG
 	// stream split deterministically from Seed, exchanging individuals
-	// on a ring every MigrationInterval generations. Determinism
-	// contract: a fixed Seed and a fixed Islands give bit-identical
-	// results regardless of Workers or goroutine scheduling (pinned by
-	// test), and Islands <= 1 reproduces the single-population
-	// algorithm bit-exactly. Clamped so every island holds at least 2
-	// individuals (Islands <= 0 -> 1, Islands > PopulationSize/2 ->
-	// PopulationSize/2).
+	// on a ring every MigrationInterval generations. One island is the
+	// single-population algorithm of paper §4.4: its stream is Seed
+	// itself and it never migrates. Determinism contract: a fixed Seed
+	// and a fixed Islands give bit-identical results regardless of
+	// Workers or goroutine scheduling (pinned by test). Clamped so every
+	// island holds at least 2 individuals (Islands <= 0 -> 1,
+	// Islands > PopulationSize/2 -> PopulationSize/2).
 	Islands int
-	// MigrationInterval is the epoch length: the number of generations
-	// each island evolves between ring migrations (0: default 5;
-	// negative: migration off). Ignored with Islands <= 1.
+	// MigrationInterval is the number of generations each island
+	// evolves between ring migrations (0: default 5; negative:
+	// migration off). Ignored with Islands <= 1.
 	MigrationInterval int
 	// MigrationCount is the number of emigrants each island sends to
 	// its ring successor per migration — its best individuals, cloned,
@@ -162,8 +165,8 @@ type Options struct {
 	// the OSACA-style validation/refinement use case of §6). Mappings
 	// must cover the instruction set with the configured port count.
 	SeedMappings []*portmap.Mapping
-	// CheckpointDir enables crash-safe checkpointing: every
-	// CheckpointInterval generations (and at every migration barrier, on
+	// CheckpointDir enables crash-safe checkpointing: at least every
+	// CheckpointInterval generations (and at every migration, on
 	// interruption, and on completion of the generational phase) the
 	// run atomically spills populations, RNG stream positions, and
 	// generation counters to this directory. Empty disables
@@ -171,8 +174,10 @@ type Options struct {
 	CheckpointDir string
 	// CheckpointInterval is the periodic checkpoint cadence in
 	// generations (0: default 10; negative: periodic checkpoints off —
-	// barrier/interruption/completion checkpoints still happen).
-	// Clamped, never an error, in the planIslands style.
+	// migration/interruption/completion checkpoints still happen). An
+	// island epoch ends early where a periodic checkpoint falls due;
+	// such extra barriers never migrate, so the cadence does not change
+	// the result. Clamped, never an error, in the planIslands style.
 	CheckpointInterval int
 	// Resume restores the run from CheckpointDir's checkpoint before
 	// evolving. The determinism contract: an interrupted-then-resumed
@@ -186,11 +191,13 @@ type Options struct {
 	// MaxGenerations may differ (a resume can extend the budget).
 	Resume bool
 	// OnGeneration, when non-nil, is called on the coordinator
-	// goroutine after each completed generation (single-population
-	// runs) or after each migration barrier (island runs) with the
-	// number of generations completed so far. It is a progress hook and
-	// a deterministic cancellation point for tests; it must not call
-	// back into the run.
+	// goroutine at every epoch barrier with the number of generations
+	// completed so far (the furthest island's count, which after the
+	// last barrier equals Result.Generations). A single population
+	// reaches a barrier after every generation; several islands at
+	// every migration, every periodic checkpoint, and the end of the
+	// generational phase. It is a progress hook and a deterministic
+	// cancellation point for tests; it must not call back into the run.
 	OnGeneration func(gensDone int)
 	// Log, when non-nil, receives checkpoint/resume diagnostics
 	// (Printf-style). Nil means silent.
@@ -310,7 +317,7 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		st, err := loadCheckpoint(opts.CheckpointDir, ckptKey, set.NumInsts, opts.NumPorts)
 		if err != nil {
 			logf("evo: resume: cold start: %v", err)
-		} else if err := validateCheckpointGeometry(st, plan, opts); err != nil {
+		} else if err := validateCheckpointGeometry(st, plan); err != nil {
 			logf("evo: resume: cold start: %v", err)
 		} else {
 			restored = st
@@ -339,13 +346,8 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		}
 	}
 
-	var best individual
 	res := &Result{}
-	if plan.islands == 1 {
-		best, err = runSingle(ctx, set, opts, svc, res, cp, restored)
-	} else {
-		best, err = runIslands(ctx, set, opts, svc, plan, res, cp, restored)
-	}
+	best, err := runIslands(ctx, set, opts, svc, plan, res, cp, restored)
 	finish := func(b individual) *Result {
 		res.Best = b.m
 		res.BestError = b.davg
@@ -398,17 +400,8 @@ func maxGens(st *ckptState) int {
 // here (same options hash to the same key), so failures indicate a
 // damaged-but-checksum-colliding file or a version skew — treated, as
 // always, as a cold start.
-func validateCheckpointGeometry(st *ckptState, plan islandPlan, opts Options) error {
-	if plan.islands == 1 {
-		if st.mode != ckptModeSingle || len(st.islands) != 1 {
-			return fmt.Errorf("checkpoint has %d islands in mode %d, want single-population", len(st.islands), st.mode)
-		}
-		if n := len(st.islands[0].pop); n != opts.PopulationSize {
-			return fmt.Errorf("checkpoint population %d, want %d", n, opts.PopulationSize)
-		}
-		return nil
-	}
-	if st.mode != ckptModeIslands || len(st.islands) != plan.islands {
+func validateCheckpointGeometry(st *ckptState, plan islandPlan) error {
+	if st.mode != plan.ckptMode() || len(st.islands) != plan.islands {
 		return fmt.Errorf("checkpoint has %d islands in mode %d, want %d islands", len(st.islands), st.mode, plan.islands)
 	}
 	for k := range st.islands {
@@ -428,8 +421,8 @@ const defaultMigrationInterval = 5
 // never returned as errors).
 type islandPlan struct {
 	islands  int   // >= 1
-	sizes    []int // per-island population; sums to PopulationSize (nil when islands == 1)
-	interval int   // generations per epoch; 0: migration off
+	sizes    []int // per-island population; sums to PopulationSize
+	interval int   // generations between migrations; 0: migration off
 	count    int   // emigrants per migration; 0: migration off
 }
 
@@ -445,12 +438,8 @@ func planIslands(opts Options) islandPlan {
 	if max := opts.PopulationSize / 2; n > max {
 		n = max
 	}
-	pl := islandPlan{islands: n}
-	if n == 1 {
-		return pl
-	}
+	pl := islandPlan{islands: n, sizes: make([]int, n)}
 	base, rem := opts.PopulationSize/n, opts.PopulationSize%n
-	pl.sizes = make([]int, n)
 	for k := range pl.sizes {
 		pl.sizes[k] = base
 		if k < rem {
@@ -468,166 +457,38 @@ func planIslands(opts Options) islandPlan {
 	if count > base-1 {
 		count = base - 1 // base is the smallest island population
 	}
-	if interval < 0 || count < 0 {
-		interval, count = 0, 0
+	if n == 1 || interval < 0 || count < 0 {
+		interval, count = 0, 0 // one island's ring successor is itself
 	}
 	pl.interval, pl.count = interval, count
 	return pl
 }
 
-// runSingle is the single-population algorithm — the pre-island code
-// path, preserved so that Islands <= 1 consumes the RNG stream
-// identically and reproduces historical fixed-seed runs bit-exactly
-// (pinned by golden test). It returns the fittest individual before
-// local search and fills res.Generations/History.
-//
-// Cancellation stops the loop at the next generation boundary (or
-// mid-batch via evaluate, in which case the aborted generation's
-// children are discarded) and returns the last completed generation's
-// best with the typed interruption error; the boundary state is
-// checkpointed first. An interruption before the initial population
-// was evaluated returns no partial (there is no consistent state yet).
-func runSingle(ctx context.Context, set *exp.Set, opts Options, svc *engine.Service, res *Result, cp *checkpointer, restored *ckptState) (individual, error) {
-	rng, src := newCountedRand(opts.Seed)
-	p := opts.PopulationSize
-	dedupe := !opts.DisableCache
-	// seen caches fitness by whole-mapping fingerprint for the current
-	// population, so duplicate candidates — common once the population
-	// converges — skip evaluation entirely. Rebuilt per generation to
-	// stay bounded.
-	seen := make(map[uint64]engine.Fitness)
-
-	var pop []individual
-	startGen := 0
-	if restored != nil {
-		// The restored population is already evaluated and sorted; the
-		// RNG fast-forwards to the boundary position, after which every
-		// draw matches the uninterrupted run.
-		st := &restored.islands[0]
-		pop = make([]individual, 0, 2*p)
-		pop = append(pop, st.pop...)
-		startGen = st.gens
-		res.Generations = st.gens
-		res.History = append(res.History, st.history...)
-		src.skip(st.draws)
-		if converged(pop, opts.ConvergenceEps) || st.converged {
-			return pop[0], nil
-		}
-	} else {
-		pop = make([]individual, 0, 2*p)
-		for _, sm := range opts.SeedMappings {
-			if len(pop) < p {
-				pop = append(pop, individual{m: sm.Clone()})
-			}
-		}
-		for len(pop) < p {
-			m := portmap.Random(rng, portmap.RandomOptions{
-				NumInsts:       set.NumInsts,
-				NumPorts:       opts.NumPorts,
-				ThroughputHint: set.Individual,
-				MaxUops:        opts.MaxUopsPerInst,
-			})
-			pop = append(pop, individual{m: m})
-		}
-		if err := evaluate(ctx, svc, pop, seen, dedupe); err != nil {
-			return individual{}, err
-		}
+// ckptMode is the checkpoint mode of the plan's geometry: a single
+// population keeps the mode it has always been written in.
+func (pl islandPlan) ckptMode() byte {
+	if pl.islands == 1 {
+		return ckptModeSingle
 	}
-
-	// singleState snapshots the boundary state for checkpointing.
-	singleState := func(gens int, draws uint64) *ckptState {
-		return &ckptState{mode: ckptModeSingle, islands: []ckptIsland{{
-			draws:   draws,
-			gens:    gens,
-			inited:  true,
-			history: res.History,
-			pop:     pop,
-		}}}
-	}
-
-	for gen := startGen; gen < opts.MaxGenerations; gen++ {
-		boundaryDraws := src.n
-		if err := runctrl.Check(ctx); err != nil {
-			cp.interruptOrDone(gen, func() *ckptState { return singleState(gen, boundaryDraws) })
-			return pop[0], err
-		}
-
-		// Evolutionary operators: p children from recombined parents.
-		children := make([]individual, 0, p)
-		for len(children) < p {
-			a := pop[rng.Intn(len(pop))].m
-			b := pop[rng.Intn(len(pop))].m
-			c1, c2 := recombine(rng, a, b, set.Individual)
-			if opts.MutationRate > 0 {
-				mutate(rng, c1, opts, set.Individual)
-				mutate(rng, c2, opts, set.Individual)
-			}
-			children = append(children, individual{m: c1})
-			if len(children) < p {
-				children = append(children, individual{m: c2})
-			}
-		}
-		if dedupe {
-			// Prime the duplicate skip with the already evaluated parents.
-			clear(seen)
-			for i := range pop {
-				seen[pop[i].m.FingerprintAll()] = engine.Fitness{Davg: pop[i].davg, Volume: pop[i].volume}
-			}
-		}
-		if err := evaluate(ctx, svc, children, seen, dedupe); err != nil {
-			if runctrl.Interrupted(err) {
-				// The aborted generation's children are discarded; pop is
-				// still the last boundary state, and boundaryDraws predates
-				// this generation's recombination draws.
-				cp.interruptOrDone(gen, func() *ckptState { return singleState(gen, boundaryDraws) })
-				return pop[0], err
-			}
-			return individual{}, err
-		}
-		pop = append(pop, children...)
-
-		// Selection: scalarize both objectives over the combined
-		// population and keep the best p.
-		selectBest(pop, p, opts.VolumeObjective, opts.AccuracyWeight)
-		pop = pop[:p]
-
-		res.Generations = gen + 1
-		best := pop[0]
-		res.History = append(res.History, GenStats{
-			Generation: gen,
-			BestError:  best.davg,
-			BestVolume: best.volume,
-			MeanError:  meanError(pop),
-		})
-
-		cp.maybe(gen+1, func() *ckptState { return singleState(gen+1, src.n) })
-		if opts.OnGeneration != nil {
-			opts.OnGeneration(gen + 1)
-		}
-
-		if converged(pop, opts.ConvergenceEps) {
-			break
-		}
-	}
-	cp.interruptOrDone(res.Generations, func() *ckptState { return singleState(res.Generations, src.n) })
-	return pop[0], nil
+	return ckptModeIslands
 }
 
-// island is one sub-population of an island-model run. Between epoch
-// barriers an island touches no state outside itself except the shared
+// island is one sub-population of a run. Between epoch barriers an
+// island touches no state outside itself except the shared
 // engine.Service's bit-exact pure-function caches (through its private
-// BatchEvaluator), which is what makes the run scheduling-independent.
+// BatchEvaluator, or the Service itself when it is the only island),
+// which is what makes the run scheduling-independent.
 type island struct {
 	idx        int
 	rng        *rand.Rand
 	src        *countingSource
 	pop        []individual // sorted best-first after every generation
 	seen       map[uint64]engine.Fitness
-	be         *engine.BatchEvaluator
+	be         batchEvaluator
 	history    []GenStats
 	gens       int
 	draws      uint64 // RNG draw count at the last generation boundary
-	epochStart int    // gens at the start of the current epoch
+	epochStart int    // gens at the last migration (the start of the migration epoch)
 	target     int    // gens this epoch runs to (set by the coordinator)
 	inited     bool
 	converged  bool
@@ -640,14 +501,14 @@ func (isl *island) alive(maxGens int) bool {
 }
 
 // evolve advances the island up to its epoch target (first evaluating
-// the initial population if this is the island's first epoch), running
-// the same generation loop as runSingle on the island's private RNG and
+// the initial population if this is the island's first epoch): the
+// generation loop of Algorithm 1 on the island's private RNG and
 // population. Called concurrently across islands; errors are parked in
 // isl.err for the coordinator. Cancellation stops the island at a
 // generation boundary — isl.gens/isl.draws always describe a fully
 // evaluated, sorted population, so an interrupted island checkpoints
 // and resumes exactly like one that hit its barrier.
-func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service, opts Options, dedupe bool) {
+func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedupe bool) {
 	if isl.err != nil {
 		return
 	}
@@ -668,6 +529,7 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 		}
 		gen := isl.gens
 
+		// Evolutionary operators: p children from recombined parents.
 		children := make([]individual, 0, p)
 		for len(children) < p {
 			a := isl.pop[isl.rng.Intn(len(isl.pop))].m
@@ -683,6 +545,8 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 			}
 		}
 		if dedupe {
+			// Prime the duplicate skip with the already evaluated parents;
+			// rebuilding it per generation keeps it bounded.
 			clear(isl.seen)
 			for i := range isl.pop {
 				isl.seen[isl.pop[i].m.FingerprintAll()] = engine.Fitness{Davg: isl.pop[i].davg, Volume: isl.pop[i].volume}
@@ -695,6 +559,8 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 			isl.err = err
 			return
 		}
+		// Selection: scalarize both objectives over the combined
+		// population and keep the best p.
 		isl.pop = append(isl.pop, children...)
 		selectBest(isl.pop, p, opts.VolumeObjective, opts.AccuracyWeight)
 		isl.pop = isl.pop[:p]
@@ -714,43 +580,49 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 	}
 }
 
-// runIslands is the island-model run: plan.islands sub-populations
-// evolving concurrently in epochs of plan.interval generations, with a
-// serial ring migration at every epoch barrier, and a final cross-island
-// selection over the union of the surviving populations. Returns the
-// fittest individual before local search and fills
-// res.Generations/History.
+// runIslands is the generational phase of every run: plan.islands
+// sub-populations evolving concurrently in epochs, with a serial ring
+// migration every plan.interval generations and a final selection of the
+// fittest individual. Returns that individual (before local search) and
+// fills res.Generations/History.
+//
+// An epoch ends at the next barrier: after one generation for a single
+// population, otherwise at the islands' next migration, capped where the
+// next periodic checkpoint falls due. Only migrations change the
+// trajectory; the other barriers just checkpoint and report progress.
 //
 // Cancellation is observed at island generation boundaries and acted on
 // at the epoch barrier: the coordinator checkpoints every island's
-// boundary state (per-island gens + epochStart, so a mid-epoch stop
-// resumes to the same barrier) and returns the cross-island best so far
-// with the typed interruption error.
+// boundary state (per-island gens + epochStart, so a stop between
+// migrations resumes to the same migration) and returns the best so far
+// with the typed interruption error. An interruption before the initial
+// population was evaluated returns no individual.
 func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Service, plan islandPlan, res *Result, cp *checkpointer, restored *ckptState) (individual, error) {
-	// Split one RNG stream per island from the master seed: island k's
-	// stream is seeded by the k-th draw, so the layout is a pure
-	// function of (Seed, Islands) — independent of Workers and of which
-	// goroutine runs which island.
-	// The master stream also goes through the draw-counting seam: it is
-	// never checkpointed (all its draws happen before any island runs),
-	// but routing it through newCountedRand keeps rng.go the only place
-	// a raw source is constructed. The wrapped source delegates to the
-	// same generator, so the sub-seed layout is bit-identical to
-	// rand.New(rand.NewSource(opts.Seed)).
-	master, _ := newCountedRand(opts.Seed)
 	isls := make([]*island, plan.islands)
-	for k := range isls {
-		rng, src := newCountedRand(master.Int63())
-		isls[k] = &island{
-			idx:  k,
-			rng:  rng,
-			src:  src,
-			seen: make(map[uint64]engine.Fitness),
-			//pmevo:allow serialhandle -- each island is owned by exactly one worker goroutine per generation (see runIslands); the handle never crosses islands
-			be: svc.NewBatchEvaluator(),
+	if len(isls) == 1 {
+		// A single population draws from Seed itself and evaluates each
+		// generation's batch in parallel through the Service.
+		rng, src := newCountedRand(opts.Seed)
+		isls[0] = &island{rng: rng, src: src, seen: make(map[uint64]engine.Fitness), be: svc}
+	} else {
+		// Split one RNG stream per island from the master seed: island k's
+		// stream is seeded by the k-th draw, so the layout is a pure
+		// function of (Seed, Islands) — independent of Workers and of
+		// which goroutine runs which island. The master stream is never
+		// checkpointed (all its draws happen before any island runs).
+		master, _ := newCountedRand(opts.Seed)
+		for k := range isls {
+			rng, src := newCountedRand(master.Int63())
+			isls[k] = &island{
+				idx:  k,
+				rng:  rng,
+				src:  src,
+				seen: make(map[uint64]engine.Fitness),
+				//pmevo:allow serialhandle -- each island is owned by exactly one worker goroutine per generation (see runIslands); the handle never crosses islands
+				be: svc.NewBatchEvaluator(),
+			}
 		}
 	}
-	restoredEpoch := false
 	if restored != nil {
 		// Geometry was validated by the caller; each island fast-forwards
 		// its RNG to its boundary draw count and picks up its population,
@@ -769,7 +641,6 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 				isl.converged = true
 			}
 		}
-		restoredEpoch = true
 	} else {
 		// Seed mappings are distributed round-robin; each island fills the
 		// rest of its population from its own stream.
@@ -795,7 +666,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 	// islandState snapshots every island's boundary state for
 	// checkpointing (slices are copied at encode time).
 	islandState := func() *ckptState {
-		st := &ckptState{mode: ckptModeIslands, islands: make([]ckptIsland, len(isls))}
+		st := &ckptState{mode: plan.ckptMode(), islands: make([]ckptIsland, len(isls))}
 		for k, isl := range isls {
 			st.islands[k] = ckptIsland{
 				draws:      isl.draws,
@@ -812,60 +683,58 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 	maxIslandGens := func() int {
 		g := 0
 		for _, isl := range isls {
-			if isl.gens > g {
-				g = isl.gens
-			}
+			g = max(g, isl.gens)
 		}
 		return g
-	}
-	// combinedBest ranks the union of the initialized populations under
-	// one shared normalization, exactly as one combined generation would
-	// be — the same selection the uninterrupted run performs at the end.
-	combinedBest := func() (individual, bool) {
-		combined := make([]individual, 0, opts.PopulationSize)
-		for _, isl := range isls {
-			if isl.inited {
-				combined = append(combined, isl.pop...)
-			}
-		}
-		if len(combined) == 0 {
-			return individual{}, false
-		}
-		selectBest(combined, len(combined), opts.VolumeObjective, opts.AccuracyWeight)
-		return combined[0], true
 	}
 
 	dedupe := !opts.DisableCache
 	migrating := plan.interval > 0 && plan.count > 0
-	for {
-		alive := 0
+	// A migration is due once some island evolved since the last one
+	// and every island has reached its migration generation or
+	// converged. An island stopped by MaxGenerations short of its
+	// migration generation holds the migration back, so the trajectory
+	// never depends on the budget.
+	evolvedSinceMigration := func() bool {
 		for _, isl := range isls {
-			if isl.alive(opts.MaxGenerations) {
-				alive++
+			if isl.gens > isl.epochStart {
+				return true
 			}
 		}
-		if alive == 0 {
+		return false
+	}
+	migrationDue := func() bool {
+		for _, isl := range isls {
+			if !isl.converged && isl.gens < isl.epochStart+plan.interval {
+				return false
+			}
+		}
+		return evolvedSinceMigration()
+	}
+	for {
+		// Assign this epoch's per-island generation targets. epochStart
+		// is the island's own generation count at the last migration (or
+		// the restored one), so a resumed run migrates exactly where the
+		// uninterrupted run would have. The phase ends when no island
+		// can advance.
+		due := cp.nextDue(maxIslandGens())
+		advancing := false
+		for _, isl := range isls {
+			switch {
+			case len(isls) == 1:
+				isl.target = isl.gens + 1
+			case migrating:
+				isl.target = min(isl.epochStart+plan.interval, due)
+			default:
+				isl.target = min(opts.MaxGenerations, due)
+			}
+			advancing = advancing || (isl.alive(opts.MaxGenerations) && isl.gens < isl.target)
+		}
+		if !advancing {
 			break
 		}
-		// Assign this epoch's per-island generation targets. On the
-		// first round after a resume the saved epochStart is reused, so
-		// a mid-epoch interruption continues to the barrier the
-		// uninterrupted run would have hit; afterwards each epoch starts
-		// at the island's own boundary.
-		for _, isl := range isls {
-			if !migrating {
-				isl.epochStart = isl.gens
-				isl.target = opts.MaxGenerations // one epoch runs the full budget
-				continue
-			}
-			if !restoredEpoch {
-				isl.epochStart = isl.gens
-			}
-			isl.target = isl.epochStart + plan.interval
-		}
-		restoredEpoch = false
 		engine.ForEachWorker(len(isls), opts.Workers, func(_, k int) {
-			isls[k].evolve(ctx, set, svc, opts, dedupe)
+			isls[k].evolve(ctx, set, opts, dedupe)
 		})
 		interrupted := runctrl.Check(ctx)
 		for _, isl := range isls {
@@ -883,38 +752,69 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			}
 			return individual{}, isl.err
 		}
+		if migrating && migrationDue() {
+			// Migrating before acting on an interruption means no
+			// checkpoint ever holds a pending migration.
+			migrate(isls, plan.count, opts.ConvergenceEps)
+			for _, isl := range isls {
+				isl.epochStart = isl.gens
+			}
+			cp.save(maxIslandGens(), islandState)
+		}
 		if interrupted != nil {
 			res.Generations, res.History = mergeIslandStats(isls)
-			cp.interruptOrDone(maxIslandGens(), islandState)
-			best, ok := combinedBest()
+			cp.save(maxIslandGens(), islandState)
+			best, ok := fittest(isls, opts)
 			if !ok {
 				return individual{}, interrupted
 			}
 			return best, interrupted
 		}
-		if !migrating {
-			break
-		}
-		migrate(isls, plan.count, opts.ConvergenceEps)
-		// Migration rewrote populations outside the islands' own
-		// generation loops; the barrier checkpoint captures the
-		// post-migration state so a resume never replays the exchange.
-		for _, isl := range isls {
-			isl.epochStart = isl.gens
-		}
-		cp.barrier(maxIslandGens(), islandState)
+		cp.maybe(maxIslandGens(), islandState)
 		if opts.OnGeneration != nil {
 			opts.OnGeneration(maxIslandGens())
 		}
 	}
 
 	res.Generations, res.History = mergeIslandStats(isls)
-	cp.interruptOrDone(res.Generations, islandState)
-
-	// Final cross-island selection over the union of the surviving
-	// populations.
-	best, _ := combinedBest()
+	cp.save(res.Generations, islandState)
+	if migrating && evolvedSinceMigration() {
+		// The budget ran out between migrations. The exchange the last
+		// epoch ends with still feeds the final selection, but it is not
+		// checkpointed: a resume with a larger budget continues to the
+		// next migration generation, exactly as a run with that budget
+		// does.
+		migrate(isls, plan.count, opts.ConvergenceEps)
+	}
+	best, _ := fittest(isls, opts)
 	return best, nil
+}
+
+// fittest returns the run's fittest individual: a single population's
+// best, or the best of the union of several islands' initialized
+// populations ranked under one shared normalization, exactly as one
+// combined generation would be. ok is false when no population has been
+// evaluated yet.
+func fittest(isls []*island, opts Options) (best individual, ok bool) {
+	if len(isls) == 1 {
+		// Re-ranking one population would renormalize its objectives
+		// over p instead of 2p individuals and could pick another one.
+		if !isls[0].inited {
+			return individual{}, false
+		}
+		return isls[0].pop[0], true
+	}
+	combined := make([]individual, 0, opts.PopulationSize)
+	for _, isl := range isls {
+		if isl.inited {
+			combined = append(combined, isl.pop...)
+		}
+	}
+	if len(combined) == 0 {
+		return individual{}, false
+	}
+	selectBest(combined, len(combined), opts.VolumeObjective, opts.AccuracyWeight)
+	return combined[0], true
 }
 
 // migrate performs one ring migration: island k's best count individuals
@@ -950,8 +850,12 @@ func migrate(isls []*island, count int, eps float64) {
 // generation g's BestError/BestVolume is the best over the islands that
 // ran generation g (ties break on volume, then island order), MeanError
 // is the population-weighted mean, and Generations is the longest island
-// run.
+// run. A single population's history passes through unchanged (the
+// weighted mean MeanError·n/n need not round-trip bit-exactly).
 func mergeIslandStats(isls []*island) (int, []GenStats) {
+	if len(isls) == 1 {
+		return isls[0].gens, isls[0].history
+	}
 	gens := 0
 	for _, isl := range isls {
 		if isl.gens > gens {
@@ -985,8 +889,8 @@ func mergeIslandStats(isls []*island) (int, []GenStats) {
 }
 
 // batchEvaluator abstracts the two batch-evaluation routes: the Service
-// itself (parallel over Workers, one batch at a time — the
-// single-population path) and a per-island engine.BatchEvaluator
+// itself (parallel over Workers, one batch at a time — a single
+// population's route) and a per-island engine.BatchEvaluator
 // (serial, any number concurrent against one Service). Both produce
 // bit-identical fitnesses.
 type batchEvaluator interface {

@@ -162,8 +162,10 @@ func TestIslandsNoMigration(t *testing.T) {
 	}
 }
 
-// TestPlanIslandsClamping covers the satellite contract: nonsensical
-// option values are normalized, never errors.
+// TestPlanIslandsClamping covers the clamping contract: nonsensical
+// option values are normalized, never errors. One island is planned
+// like any other — its single size is the whole population — and never
+// migrates.
 func TestPlanIslandsClamping(t *testing.T) {
 	base := Options{PopulationSize: 10}
 	cases := []struct {
@@ -174,12 +176,12 @@ func TestPlanIslandsClamping(t *testing.T) {
 		{
 			name: "zero islands collapse to one",
 			mod:  func(o *Options) { o.Islands = 0 },
-			want: islandPlan{islands: 1},
+			want: islandPlan{islands: 1, sizes: []int{10}},
 		},
 		{
 			name: "negative islands collapse to one",
 			mod:  func(o *Options) { o.Islands = -3 },
-			want: islandPlan{islands: 1},
+			want: islandPlan{islands: 1, sizes: []int{10}},
 		},
 		{
 			name: "islands capped so each holds two individuals",
@@ -220,14 +222,12 @@ func TestPlanIslandsClamping(t *testing.T) {
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("planIslands(%+v) = %+v, want %+v", opts, got, tc.want)
 			}
-			if got.islands > 1 {
-				sum := 0
-				for _, s := range got.sizes {
-					sum += s
-				}
-				if sum != opts.PopulationSize {
-					t.Errorf("island sizes %v sum to %d, want %d", got.sizes, sum, opts.PopulationSize)
-				}
+			sum := 0
+			for _, s := range got.sizes {
+				sum += s
+			}
+			if sum != opts.PopulationSize {
+				t.Errorf("island sizes %v sum to %d, want %d", got.sizes, sum, opts.PopulationSize)
 			}
 		})
 	}

@@ -53,7 +53,7 @@ import (
 // MaxUnitTablePorts is the widest port universe the per-instruction
 // table path accepts: tables have 2^k entries per instruction, so wider
 // mappings use the per-experiment entry points (the engine falls back to
-// BottleneckParts). The paper's machines have at most 10 ports.
+// Evaluator.ThroughputOf). The paper's machines have at most 10 ports.
 const MaxUnitTablePorts = 11
 
 // classSubsets[c] lists the subsets of ports 0..MaxUnitTablePorts-1 of

@@ -149,118 +149,6 @@ func (ev *Evaluator) ThroughputOf(m *portmap.Mapping, e portmap.Experiment) floa
 	return ev.Bottleneck(ev.flat)
 }
 
-// Part is one instruction's contribution to an experiment in
-// pre-flattened form: the instruction's unit mass terms (its µop
-// decomposition with Mass = µop count) and the experiment's multiplicity
-// for the instruction. Callers that evaluate many experiments over the
-// same mapping flatten each instruction once and reuse the terms across
-// all experiments containing it (the engine's fitness hot loop does
-// this).
-type Part struct {
-	Terms []portmap.MassTerm
-	Scale float64
-}
-
-// BottleneckParts computes the throughput of the experiment described by
-// parts, merging the scaled per-instruction terms directly into the
-// evaluator's buffers. It is bit-identical to ThroughputOf on the
-// equivalent mapping/experiment pair: the merge consumes (port set, mass)
-// pairs in the same order with the same floating-point operations, and
-// the engine dispatch below is unchanged.
-func (ev *Evaluator) BottleneckParts(parts []Part) float64 {
-	used, ok := ev.mergeParts(parts)
-	if !ok {
-		return math.Inf(1)
-	}
-	if used.IsEmpty() {
-		return 0
-	}
-	k := used.Count()
-	d := len(ev.masks)
-	if d <= 12 && d < k {
-		return ev.bottleneckUnion()
-	}
-	return ev.bottleneckTable(used, k)
-}
-
-// mergeParts is mergeTerms over scaled per-instruction term lists. Like
-// mergeTerms it preserves first-occurrence order and picks the linear
-// scan or the indexed map by input size; both strategies produce
-// identical masks, so the choice never affects results.
-func (ev *Evaluator) mergeParts(parts []Part) (used portmap.PortSet, ok bool) {
-	total := 0
-	for i := range parts {
-		if parts[i].Scale != 0 {
-			total += len(parts[i].Terms)
-		}
-	}
-	if total > smallMergeCutoff {
-		return ev.mergePartsIndexed(parts)
-	}
-	ev.masks = ev.masks[:0]
-	for i := range parts {
-		scale := parts[i].Scale
-		if scale == 0 {
-			continue
-		}
-		for _, t := range parts[i].Terms {
-			mass := scale * t.Mass
-			if mass == 0 {
-				continue
-			}
-			if t.Ports.IsEmpty() {
-				return 0, false
-			}
-			used |= t.Ports
-			found := false
-			for j := range ev.masks {
-				if ev.masks[j].ports == t.Ports {
-					ev.masks[j].mass += mass
-					found = true
-					break
-				}
-			}
-			if !found {
-				ev.masks = append(ev.masks, maskMass{ports: t.Ports, mass: mass})
-			}
-		}
-	}
-	return used, true
-}
-
-// mergePartsIndexed is the wide-input path of mergeParts.
-func (ev *Evaluator) mergePartsIndexed(parts []Part) (used portmap.PortSet, ok bool) {
-	ev.masks = ev.masks[:0]
-	if ev.midx == nil {
-		ev.midx = make(map[portmap.PortSet]int32)
-	} else {
-		clear(ev.midx)
-	}
-	for i := range parts {
-		scale := parts[i].Scale
-		if scale == 0 {
-			continue
-		}
-		for _, t := range parts[i].Terms {
-			mass := scale * t.Mass
-			if mass == 0 {
-				continue
-			}
-			if t.Ports.IsEmpty() {
-				return 0, false
-			}
-			used |= t.Ports
-			if j, found := ev.midx[t.Ports]; found {
-				ev.masks[j].mass += mass
-			} else {
-				ev.midx[t.Ports] = int32(len(ev.masks))
-				ev.masks = append(ev.masks, maskMass{ports: t.Ports, mass: mass})
-			}
-		}
-	}
-	return used, true
-}
-
 // Bottleneck computes the throughput of the given µop masses; see the
 // package-level Bottleneck. Internally it picks between two exact
 // strategies: for experiments with few distinct µops (the common case

@@ -84,8 +84,8 @@ type Result = core.Result
 // EvoOptions configures the evolutionary algorithm inside Config. Set
 // Islands > 1 to shard the population into concurrently evolving
 // sub-populations with periodic ring migration; with a fixed Seed the
-// result is reproducible regardless of Workers, and Islands <= 1
-// reproduces the single-population algorithm bit-exactly.
+// result is reproducible regardless of Workers, and Islands <= 1 runs
+// the paper's single-population algorithm as the one-island case.
 type EvoOptions = evo.Options
 
 // CacheStats reports the fitness engine's evaluation counters after a
