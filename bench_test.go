@@ -239,17 +239,9 @@ func BenchmarkBottleneckUnion(b *testing.B) {
 // BenchmarkFitnessEvolution measures the population fitness loop at
 // QuickScale: the §4.4 evolutionary loop plus greedy local search over
 // the 12-instruction/8-port ablation set, with the search's
-// work-skipping layers (duplicate-candidate skip, delta local search)
-// enabled. BenchmarkFitnessEvolutionNoCache is the same loop with them
-// disabled — results are bit-identical (pinned in internal/evo) — so the
-// pair quantifies what they save. The evals/s metric is candidate Davg
-// computations per second.
-
-func BenchmarkFitnessEvolution(b *testing.B) { benchFitnessEvolution(b, false) }
-
-func BenchmarkFitnessEvolutionNoCache(b *testing.B) { benchFitnessEvolution(b, true) }
-
-func benchFitnessEvolution(b *testing.B, disableCache bool) {
+// work-skipping layers (duplicate-candidate skip, delta local search).
+// The evals/s metric is candidate Davg computations per second.
+func BenchmarkFitnessEvolution(b *testing.B) {
 	scale := eval.QuickScale()
 	set := ablationSet(b)
 	opts := evo.Options{
@@ -259,7 +251,6 @@ func benchFitnessEvolution(b *testing.B, disableCache bool) {
 		LocalSearch:     true,
 		VolumeObjective: true,
 		Seed:            3,
-		DisableCache:    disableCache,
 	}
 	b.ResetTimer()
 	evals := 0

@@ -137,7 +137,7 @@ func main() {
 	}
 
 	if want["fitness"] {
-		progress("running fitness-evaluation benchmark (cached vs uncached)")
+		progress("running fitness-evaluation benchmark")
 		start := time.Now()
 		res, err := eval.RunFitnessBench(ctx, scale)
 		if err != nil {
@@ -146,12 +146,10 @@ func main() {
 		fmt.Println(res.Render())
 		writeCSV(*csvDir, "fitness.csv", res.WriteCSV)
 		record("fitness", "", start, map[string]float64{
-			"evals_per_sec":          res.Cached.EvalsPerSec,
-			"evals_per_sec_uncached": res.Uncached.EvalsPerSec,
-			"speedup":                res.Speedup(),
-			"evaluations":            float64(res.Cached.Evaluations),
-			"delta_evals":            float64(res.Cached.DeltaEvals),
-			"delta_exps_skipped":     float64(res.Cached.DeltaExpsSkipped),
+			"evals_per_sec":      res.EvalsPerSec,
+			"evaluations":        float64(res.Evaluations),
+			"delta_evals":        float64(res.DeltaEvals),
+			"delta_exps_skipped": float64(res.DeltaExpsSkipped),
 		})
 	}
 

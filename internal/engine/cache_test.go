@@ -2,48 +2,37 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
-	"pmevo/internal/throughput"
 )
 
-// newServicePair builds two services over the same measured set: one on
-// the built-in fast path (per-worker subset-sum tables) and one routing
-// every prediction through the generic bottleneck Predictor, i.e.
-// throughput.Evaluator.ThroughputOf — the reference the fast path must
-// match bitwise.
-func newServicePair(t *testing.T, rng *rand.Rand, numInsts, numPorts int) (*Service, *Service) {
+// newMeasuredService builds a service over a measured set; tests check
+// it against directFitness on that set.
+func newMeasuredService(t *testing.T, rng *rand.Rand, numInsts, numPorts int) (*Service, *exp.Set) {
 	t.Helper()
 	_, set := measuredSet(t, rng, numInsts, numPorts)
-	fast, err := NewService(set, ServiceOptions{})
+	svc, err := NewService(set, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewService(set, ServiceOptions{Predictor: Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fast, ref
+	return svc, set
 }
 
 // TestMemoizedDavgBitIdentical is the central property of the tables'
 // fingerprint-keyed reuse: on random mappings — including repeated
 // evaluations of equal mappings and of structurally equal clones, which
-// reuse every table a scratch already built — the fast-path Davg must be
-// bit-identical to the reference computation.
+// reuse every table a scratch already built — the service's Davg must
+// be bit-identical to the direct per-experiment computation.
 func TestMemoizedDavgBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	fast, ref := newServicePair(t, rng, 10, 4)
+	fast, set := newMeasuredService(t, rng, 10, 4)
 	for trial := 0; trial < 40; trial++ {
 		m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: 4, MaxUops: 3})
-		want, err := ref.Evaluate(m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := directFitness(t, set, m, bottleneckOf)
 		for rep := 0; rep < 2; rep++ { // rep 1 reuses the tables built by rep 0
 			got, err := fast.Evaluate(m)
 			if err != nil {
@@ -66,124 +55,73 @@ func TestMemoizedDavgBitIdentical(t *testing.T) {
 }
 
 // TestEvaluateDeltaBitIdentical drives random single-instruction edit
-// sequences through the NewState/EvaluateDelta/Commit protocol — on the
-// fast path and through the generic Predictor — and checks every pending
-// and committed fitness bitwise against a fresh full evaluation of an
-// equal mapping.
+// sequences through the NewState/EvaluateDelta/Commit protocol and
+// checks every pending and committed fitness bitwise against a direct
+// full evaluation of the edited mapping.
 func TestEvaluateDeltaBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	fast, ref := newServicePair(t, rng, 9, 4)
-	for _, svc := range []*Service{fast, ref} {
-		for trial := 0; trial < 12; trial++ {
-			m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 9, NumPorts: 4, MaxUops: 3})
-			st, err := svc.NewState(m)
+	svc, set := newMeasuredService(t, rng, 9, 4)
+	for trial := 0; trial < 12; trial++ {
+		m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 9, NumPorts: 4, MaxUops: 3})
+		st, err := svc.NewState(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full := directFitness(t, set, m, bottleneckOf); st.Fitness() != full {
+			t.Fatalf("trial %d: NewState %+v != full %+v", trial, st.Fitness(), full)
+		}
+		for edit := 0; edit < 30; edit++ {
+			inst := rng.Intn(9)
+			j := rng.Intn(len(m.Decomp[inst]))
+			// Random probe: bump a count, drop a µop, or add one.
+			var revert func()
+			switch op := rng.Intn(3); {
+			case op == 0:
+				orig := m.Decomp[inst][j].Count
+				m.SetUopCount(inst, j, orig+1)
+				revert = func() { m.SetUopCount(inst, j, orig) }
+			case op == 1 && len(m.Decomp[inst]) > 1:
+				uc := m.RemoveUopAt(inst, j)
+				revert = func() { m.InsertUopAt(inst, j, uc) }
+			default:
+				ports := portmap.RandomPortSet(rng, 4)
+				before := append([]portmap.UopCount(nil), m.Decomp[inst]...)
+				m.AddUop(inst, ports, 1+rng.Intn(2))
+				revert = func() { m.SetDecomp(inst, before) }
+			}
+			fit, err := svc.EvaluateDelta(st, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := ref.Evaluate(m.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Fitness() != full {
-				t.Fatalf("trial %d: NewState %+v != full %+v", trial, st.Fitness(), full)
-			}
-			for edit := 0; edit < 30; edit++ {
-				inst := rng.Intn(9)
-				j := rng.Intn(len(m.Decomp[inst]))
-				// Random probe: bump a count, drop a µop, or add one.
-				var revert func()
-				switch op := rng.Intn(3); {
-				case op == 0:
-					orig := m.Decomp[inst][j].Count
-					m.SetUopCount(inst, j, orig+1)
-					revert = func() { m.SetUopCount(inst, j, orig) }
-				case op == 1 && len(m.Decomp[inst]) > 1:
-					uc := m.RemoveUopAt(inst, j)
-					revert = func() { m.InsertUopAt(inst, j, uc) }
-				default:
-					ports := portmap.RandomPortSet(rng, 4)
-					before := append([]portmap.UopCount(nil), m.Decomp[inst]...)
-					m.AddUop(inst, ports, 1+rng.Intn(2))
-					revert = func() { m.SetDecomp(inst, before) }
-				}
-				fit, err := svc.EvaluateDelta(st, inst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.Evaluate(m.Clone())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fit != want {
-					t.Fatalf("trial %d edit %d: delta %+v != full %+v", trial, edit, fit, want)
-				}
-				if rng.Intn(2) == 0 {
-					st.Commit()
-					if st.Fitness() != want {
-						t.Fatalf("trial %d edit %d: committed %+v != full %+v", trial, edit, st.Fitness(), want)
-					}
-				} else {
-					revert()
-				}
-			}
-			// After the edit sequence the state must still agree with a
-			// fresh full evaluation (one more delta on a no-op edit).
-			m.SetUopCount(0, 0, m.Decomp[0][0].Count+1)
-			fit, err := svc.EvaluateDelta(st, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Evaluate(m.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := directFitness(t, set, m, bottleneckOf)
 			if fit != want {
-				t.Fatalf("trial %d: final delta %+v != full %+v", trial, fit, want)
+				t.Fatalf("trial %d edit %d: delta %+v != full %+v", trial, edit, fit, want)
+			}
+			if rng.Intn(2) == 0 {
+				st.Commit()
+				if st.Fitness() != want {
+					t.Fatalf("trial %d edit %d: committed %+v != full %+v", trial, edit, st.Fitness(), want)
+				}
+			} else {
+				revert()
 			}
 		}
+		// After the edit sequence the state must still agree with a
+		// fresh full evaluation (one more delta on a no-op edit).
+		m.SetUopCount(0, 0, m.Decomp[0][0].Count+1)
+		fit, err := svc.EvaluateDelta(st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := directFitness(t, set, m, bottleneckOf); fit != want {
+			t.Fatalf("trial %d: final delta %+v != full %+v", trial, fit, want)
+		}
 	}
-	if fast.Stats().DeltaEvaluations == 0 || ref.Stats().DeltaEvaluations == 0 {
+	if svc.Stats().DeltaEvaluations == 0 {
 		t.Error("no delta evaluations recorded")
 	}
-	if fast.Stats().DeltaExperimentsSkipped == 0 {
+	if svc.Stats().DeltaExperimentsSkipped == 0 {
 		t.Error("delta evaluation skipped no experiments on §4.1-style sets")
-	}
-}
-
-// TestEvaluateDeltaGenericPredictor runs the delta protocol through a
-// generic (non-fast-path) engine and checks it against full generic
-// evaluations.
-func TestEvaluateDeltaGenericPredictor(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	_, set := measuredSet(t, rng, 6, 3)
-	union, err := ByName("union")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(set, ServiceOptions{Predictor: union})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 6, NumPorts: 3, MaxUops: 2})
-	st, err := svc.NewState(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for edit := 0; edit < 10; edit++ {
-		inst := rng.Intn(6)
-		m.SetUopCount(inst, 0, m.Decomp[inst][0].Count+1)
-		fit, err := svc.EvaluateDelta(st, inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Commit()
-		want, err := svc.Evaluate(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fit != want {
-			t.Fatalf("edit %d: generic delta %+v != full %+v", edit, fit, want)
-		}
 	}
 }
 
@@ -222,22 +160,18 @@ func TestEvaluateDeltaValidation(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentEvaluation hammers one fast-path service from many
-// goroutines over a small pool of shared mappings; under -race this
-// verifies the pooled per-goroutine scratches and the pure fingerprint
-// reads, and every result must match the reference.
+// TestMemoConcurrentEvaluation hammers one service from many goroutines
+// over a small pool of shared mappings; under -race this verifies the
+// pooled per-goroutine scratches and the pure fingerprint reads, and
+// every result must match the direct computation.
 func TestMemoConcurrentEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	fast, ref := newServicePair(t, rng, 8, 4)
+	fast, set := newMeasuredService(t, rng, 8, 4)
 	mappings := make([]*portmap.Mapping, 6)
 	want := make([]Fitness, len(mappings))
 	for i := range mappings {
 		mappings[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 8, NumPorts: 4, MaxUops: 2})
-		f, err := ref.Evaluate(mappings[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = f
+		want[i] = directFitness(t, set, mappings[i], bottleneckOf)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -360,74 +294,72 @@ func TestEvaluateDeltaOversizedMapping(t *testing.T) {
 	}
 }
 
-// failingPredictor errors on every experiment after the first `allow`
-// predictions.
-type failingPredictor struct {
-	allow int
-	seen  int
-}
-
-func (p *failingPredictor) Name() string { return "failing" }
-
-func (p *failingPredictor) Predict(m *portmap.Mapping, e portmap.Experiment) (float64, error) {
-	p.seen++
-	if p.seen > p.allow {
-		return 0, fmt.Errorf("induced failure")
-	}
-	return throughput.OfExperiment(m, e), nil
-}
-
-func (p *failingPredictor) PredictAll(m *portmap.Mapping, es []portmap.Experiment, out []float64) error {
-	for i, e := range es {
-		v, err := p.Predict(m, e)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
-}
-
 // TestEvaluateDeltaErrorInvalidatesPending: a failed EvaluateDelta must
-// leave no pending delta, so a stray Commit cannot fold partial
-// predictions into the state.
+// leave no pending delta, so a stray Commit cannot fold the last,
+// rejected probe into the state.
 func TestEvaluateDeltaErrorInvalidatesPending(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	_, set := measuredSet(t, rng, 4, 3)
-	pred := &failingPredictor{allow: 1 << 30}
-	svc, err := NewService(set, ServiceOptions{Predictor: pred})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewService(set, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, set := newMeasuredService(t, rng, 4, 3)
 	m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 4, NumPorts: 3, MaxUops: 2})
 	st, err := svc.NewState(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.allow = pred.seen + 1 // next delta fails partway through
-	m.SetUopCount(0, 0, m.Decomp[0][0].Count+1)
-	if _, err := svc.EvaluateDelta(st, 0); err == nil {
-		t.Fatal("induced failure did not surface")
-	}
-	m.SetUopCount(0, 0, m.Decomp[0][0].Count-1) // revert the edit
-	st.Commit()                                 // must be a no-op
-	want, err := plain.Evaluate(m)
+	want := st.Fitness()
+	// A probe that changes the fitness, then rejected: the edit is
+	// reverted and not committed, so its delta stays pending.
+	orig := m.Decomp[0][0].Count
+	m.SetUopCount(0, 0, orig+3)
+	probe, err := svc.EvaluateDelta(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if probe == want {
+		t.Fatal("probe did not change the fitness; pick another edit")
+	}
+	m.SetUopCount(0, 0, orig)
+	if _, err := svc.EvaluateDelta(st, m.NumInsts()); err == nil {
+		t.Fatal("out-of-range instruction accepted")
+	}
+	st.Commit() // must be a no-op
 	if st.Fitness() != want {
 		t.Errorf("state corrupted after failed delta: %+v != %+v", st.Fitness(), want)
 	}
-	pred.allow = 1 << 30
+	if full := directFitness(t, set, m, bottleneckOf); full != want {
+		t.Errorf("full evaluation %+v != state %+v", full, want)
+	}
 	fit, err := svc.EvaluateDelta(st, 0) // the no-op edit: same mapping
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fit != want {
 		t.Errorf("recovered delta %+v != full %+v", fit, want)
+	}
+}
+
+// TestNarrowMappingRejected: every scoring entry point must return an
+// error, not panic, for a mapping covering fewer instructions than the
+// experiment set — Service.EvaluateAll would otherwise panic on a worker
+// goroutine and take the process down.
+func TestNarrowMappingRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	svc, _ := newMeasuredService(t, rng, 5, 3)
+	wide := portmap.Random(rng, portmap.RandomOptions{NumInsts: 5, NumPorts: 3, MaxUops: 2})
+	narrow := portmap.Random(rng, portmap.RandomOptions{NumInsts: 2, NumPorts: 3, MaxUops: 2})
+	batch := []*portmap.Mapping{wide, narrow, wide, wide}
+	if _, err := svc.Evaluate(narrow); err == nil {
+		t.Error("Evaluate accepted a narrow mapping")
+	}
+	if err := svc.EvaluateAll(context.Background(), batch, make([]Fitness, len(batch))); err == nil {
+		t.Error("EvaluateAll accepted a narrow mapping")
+	}
+	if err := svc.NewBatchEvaluator().EvaluateAll(context.Background(), batch, make([]Fitness, len(batch))); err == nil {
+		t.Error("BatchEvaluator.EvaluateAll accepted a narrow mapping")
+	}
+	if _, err := svc.NewState(narrow); err == nil {
+		t.Error("NewState accepted a narrow mapping")
+	}
+	if got := svc.Evaluations(); got != 0 {
+		t.Errorf("rejected candidates counted as %d evaluations", got)
 	}
 }

@@ -50,9 +50,8 @@ type FitnessState struct {
 // state for incremental re-evaluation. The state keeps a reference to m:
 // subsequent edits to m drive EvaluateDelta.
 func (s *Service) NewState(m *portmap.Mapping) (*FitnessState, error) {
-	if m.NumInsts() < s.numInsts {
-		return nil, fmt.Errorf("engine: mapping covers %d instructions, experiment set needs %d",
-			m.NumInsts(), s.numInsts)
+	if err := s.checkMapping(m); err != nil {
+		return nil, err
 	}
 	st := &FitnessState{
 		svc:         s,
@@ -61,15 +60,7 @@ func (s *Service) NewState(m *portmap.Mapping) (*FitnessState, error) {
 		pendingInst: -1,
 	}
 	s.evals.Add(1)
-	if s.pred != nil {
-		d, err := s.davgGeneric(m, st.preds)
-		if err != nil {
-			return nil, err
-		}
-		st.fit = Fitness{Davg: d, Volume: m.Volume()}
-		return st, nil
-	}
-	st.fit = Fitness{Davg: s.davgFast(&st.sc, m, st.preds), Volume: m.Volume()}
+	st.fit = Fitness{Davg: s.davg(&st.sc, m, st.preds), Volume: m.Volume()}
 	return st, nil
 }
 
@@ -83,15 +74,16 @@ func (st *FitnessState) Mapping() *portmap.Mapping { return st.m }
 // changed instruction inst, re-predicting only the experiments that
 // contain inst. It counts as one (delta) evaluation. The result is
 // pending until Commit: rejecting the edit means reverting the mapping
-// and simply not committing.
+// and simply not committing. A failed call leaves no pending delta, so
+// a following Commit cannot fold in an earlier, rejected probe.
 func (s *Service) EvaluateDelta(st *FitnessState, inst int) (Fitness, error) {
 	if st == nil || st.svc != s {
 		return Fitness{}, fmt.Errorf("engine: fitness state does not belong to this service")
 	}
+	st.pendingInst = -1 // invalidate until this evaluation completes
 	if inst < 0 || inst >= st.m.NumInsts() {
 		return Fitness{}, fmt.Errorf("engine: instruction %d out of range (mapping covers %d)", inst, st.m.NumInsts())
 	}
-	st.pendingInst = -1 // invalidate until this evaluation completes
 	// Instructions beyond the experiment set (NewState admits oversized
 	// mappings) occur in no experiment: only the volume can change.
 	var touched []int32
@@ -103,22 +95,12 @@ func (s *Service) EvaluateDelta(st *FitnessState, inst int) (Fitness, error) {
 	}
 	st.pendingPreds = st.pendingPreds[:len(touched)]
 
-	if s.pred != nil {
-		for k, j := range touched {
-			pred, err := s.pred.Predict(st.m, s.experiment(int(j)))
-			if err != nil {
-				return Fitness{}, fmt.Errorf("engine: %s on experiment %d: %w", s.pred.Name(), j, err)
-			}
-			st.pendingPreds[k] = pred
-		}
-	} else {
-		// The scratch's derived per-instruction data is keyed by
-		// decomposition fingerprint, so the edited instruction's table
-		// rebuilds itself and everything else stays valid across probes.
-		st.sc.ensure(s.numInsts, st.m.NumPorts)
-		for k, j := range touched {
-			st.pendingPreds[k] = s.predictOne(&st.sc, st.m, int(j))
-		}
+	// The scratch's derived per-instruction data is keyed by
+	// decomposition fingerprint, so the edited instruction's table
+	// rebuilds itself and everything else stays valid across probes.
+	st.sc.ensure(s.numInsts, st.m.NumPorts)
+	for k, j := range touched {
+		st.pendingPreds[k] = s.predictOne(&st.sc, st.m, int(j))
 	}
 
 	// Re-accumulate the error sum over all experiments in order —

@@ -142,11 +142,33 @@ func (o oracle) Measure(e portmap.Experiment) (float64, error) {
 	return throughput.OfExperiment(o.m, e), nil
 }
 
+// directFitness computes the fitness of m over set directly: one
+// allocating prediction per experiment, accumulated in experiment order
+// — the reference the service must match.
+func directFitness(t *testing.T, set *exp.Set, m *portmap.Mapping,
+	predict func(*portmap.Mapping, portmap.Experiment) (float64, error)) Fitness {
+	t.Helper()
+	sum := 0.0
+	for _, meas := range set.Measurements {
+		pred, err := predict(m, meas.Exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += math.Abs(pred-meas.Throughput) / meas.Throughput
+	}
+	return Fitness{Davg: sum / float64(len(set.Measurements)), Volume: m.Volume()}
+}
+
+// bottleneckOf is throughput.OfExperiment in directFitness's shape.
+func bottleneckOf(m *portmap.Mapping, e portmap.Experiment) (float64, error) {
+	return throughput.OfExperiment(m, e), nil
+}
+
 // TestServiceMatchesDirectDavg checks the pre-flattened batched service
 // against a direct, allocating computation of Davg, bitwise. The port
-// counts cover both fast-path routes: subset-sum tables up to
-// throughput.MaxUnitTablePorts (4 and 10 ports) and Evaluator.ThroughputOf
-// above it (12 ports).
+// counts cover both routes: subset-sum tables up to
+// throughput.MaxUnitTablePorts (4 and 10 ports) and
+// Evaluator.ThroughputOf above it (12 ports).
 func TestServiceMatchesDirectDavg(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, numPorts := range []int{4, 10, 12} {
@@ -167,17 +189,12 @@ func TestServiceMatchesDirectDavg(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, m := range ms {
-			want := 0.0
-			for _, meas := range set.Measurements {
-				pred := throughput.OfExperiment(m, meas.Exp)
-				want += math.Abs(pred-meas.Throughput) / meas.Throughput
+			want := directFitness(t, set, m, bottleneckOf)
+			if math.Float64bits(fits[i].Davg) != math.Float64bits(want.Davg) {
+				t.Errorf("%d ports, mapping %d: Davg %g, direct %g", numPorts, i, fits[i].Davg, want.Davg)
 			}
-			want /= float64(len(set.Measurements))
-			if math.Float64bits(fits[i].Davg) != math.Float64bits(want) {
-				t.Errorf("%d ports, mapping %d: Davg %g, direct %g", numPorts, i, fits[i].Davg, want)
-			}
-			if fits[i].Volume != m.Volume() {
-				t.Errorf("%d ports, mapping %d: Volume %d, want %d", numPorts, i, fits[i].Volume, m.Volume())
+			if fits[i].Volume != want.Volume {
+				t.Errorf("%d ports, mapping %d: Volume %d, want %d", numPorts, i, fits[i].Volume, want.Volume)
 			}
 			single, err := svc.Evaluate(m)
 			if err != nil {
@@ -193,32 +210,21 @@ func TestServiceMatchesDirectDavg(t *testing.T) {
 	}
 }
 
-// TestServiceGenericEngineAgrees runs the service through the generic
-// Predictor path (LP engine) and compares with the fast path.
+// TestServiceGenericEngineAgrees checks the service against the LP
+// reference engine: Davg from direct per-experiment LP solves
+// (throughput.OfExperimentLP) must agree within 1e-9.
 func TestServiceGenericEngineAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	_, set := measuredSet(t, rng, 8, 3)
-	fast, err := NewService(set, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, _ := ByName("lp")
-	ref, err := NewService(set, ServiceOptions{Predictor: lp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, set := newMeasuredService(t, rng, 8, 3)
 	for trial := 0; trial < 8; trial++ {
 		m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 8, NumPorts: 3, MaxUops: 2})
-		f1, err := fast.Evaluate(m)
+		got, err := svc.Evaluate(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2, err := ref.Evaluate(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(f1.Davg-f2.Davg) > 1e-9 || f1.Volume != f2.Volume {
-			t.Errorf("trial %d: bottleneck %+v vs lp %+v", trial, f1, f2)
+		want := directFitness(t, set, m, throughput.OfExperimentLP)
+		if math.Abs(got.Davg-want.Davg) > 1e-9 || got.Volume != want.Volume {
+			t.Errorf("trial %d: bottleneck %+v vs lp %+v", trial, got, want)
 		}
 	}
 }

@@ -26,11 +26,6 @@ type Fitness struct {
 type ServiceOptions struct {
 	// Workers is the parallelism of EvaluateAll (<= 0: GOMAXPROCS).
 	Workers int
-	// Predictor selects the throughput engine. nil selects the built-in
-	// bottleneck fast path, which evaluates with zero allocation through
-	// per-worker reusable evaluator state and subset-sum tables; any
-	// other engine goes through the generic Predict interface.
-	Predictor Predictor
 }
 
 // CacheStats is a snapshot of a Service's evaluation counters. The
@@ -50,11 +45,13 @@ type CacheStats struct {
 
 // Service evaluates candidate port mappings against a fixed measured
 // experiment set. It is the fitness-evaluation layer of the evolutionary
-// algorithm (§4.4/§4.5). Construction pre-flattens the experiment set
-// into contiguous storage and builds an inverted index (instruction →
-// experiments containing it); batched evaluation fans out over a worker
-// pool whose workers each own reusable evaluator state, so the
-// per-candidate hot loop allocates nothing.
+// algorithm (§4.4/§4.5), and scores every candidate one way: the
+// bottleneck algorithm over per-instruction subset-sum tables.
+// Construction pre-flattens the experiment set into contiguous storage
+// and builds an inverted index (instruction → experiments containing
+// it); batched evaluation fans out over a worker pool whose workers each
+// own reusable evaluator state, so the per-candidate hot loop allocates
+// nothing.
 //
 // Two mechanisms keep the hot loop free of redundant work:
 //
@@ -78,7 +75,6 @@ type CacheStats struct {
 type Service struct {
 	workers  int
 	numInsts int
-	pred     Predictor // nil: bottleneck fast path
 
 	// Pre-flattened experiment set: experiment i is
 	// terms[offs[i]:offs[i+1]] with measured throughput meas[i].
@@ -161,7 +157,6 @@ func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
 	s := &Service{
 		workers:  workers,
 		numInsts: set.NumInsts,
-		pred:     opts.Predictor,
 		offs:     make([]int32, 1, len(set.Measurements)+1),
 		meas:     make([]float64, 0, len(set.Measurements)),
 		instExps: make([][]int32, set.NumInsts),
@@ -227,8 +222,8 @@ func (s *Service) experiment(i int) portmap.Experiment {
 	return portmap.Experiment(s.terms[s.offs[i]:s.offs[i+1]])
 }
 
-// predictOne predicts experiment i under m on the fast path: through
-// the per-instruction subset-sum tables in sc for up to
+// predictOne predicts experiment i under m: through the
+// per-instruction subset-sum tables in sc for up to
 // throughput.MaxUnitTablePorts ports, and through ThroughputOf for wider
 // port universes (no paper machine has them). sc must have been ensured
 // for m. The table route is bit-identical to ThroughputOf.
@@ -246,9 +241,10 @@ func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64
 	return sc.ev.ThroughputOf(m, s.experiment(i))
 }
 
-// davgFast computes Davg(m) on the fast path, optionally capturing the
-// per-experiment predictions into preds (len(preds) == NumExperiments).
-func (s *Service) davgFast(sc *evalScratch, m *portmap.Mapping, preds []float64) float64 {
+// davg computes Davg(m), optionally capturing the per-experiment
+// predictions into preds (len(preds) == NumExperiments). m must have
+// passed checkMapping.
+func (s *Service) davg(sc *evalScratch, m *portmap.Mapping, preds []float64) float64 {
 	sc.ensure(s.numInsts, m.NumPorts)
 	sum := 0.0
 	for i, meas := range s.meas {
@@ -261,21 +257,16 @@ func (s *Service) davgFast(sc *evalScratch, m *portmap.Mapping, preds []float64)
 	return sum / float64(len(s.meas))
 }
 
-// davgGeneric computes Davg(m) through an arbitrary Predictor,
-// optionally capturing the per-experiment predictions into preds.
-func (s *Service) davgGeneric(m *portmap.Mapping, preds []float64) (float64, error) {
-	sum := 0.0
-	for i, meas := range s.meas {
-		pred, err := s.pred.Predict(m, s.experiment(i))
-		if err != nil {
-			return 0, fmt.Errorf("engine: %s on experiment %d: %w", s.pred.Name(), i, err)
-		}
-		if preds != nil {
-			preds[i] = pred
-		}
-		sum += math.Abs(pred-meas) / meas
+// checkMapping rejects a mapping that does not cover every instruction
+// of the experiment set; scoring one would index past its
+// decompositions. Wider mappings are admitted: their extra
+// instructions occur in no experiment.
+func (s *Service) checkMapping(m *portmap.Mapping) error {
+	if m.NumInsts() < s.numInsts {
+		return fmt.Errorf("engine: mapping covers %d instructions, experiment set needs %d",
+			m.NumInsts(), s.numInsts)
 	}
-	return sum / float64(len(s.meas)), nil
+	return nil
 }
 
 // getScratch draws a reusable scratch for concurrent single-candidate
@@ -293,42 +284,45 @@ func (s *Service) putScratch(sc *evalScratch) { s.pool.Put(sc) }
 // Evaluate computes the fitness of a single mapping. It is safe for
 // concurrent use and counts as one fitness evaluation.
 func (s *Service) Evaluate(m *portmap.Mapping) (Fitness, error) {
-	s.evals.Add(1)
-	if s.pred != nil {
-		d, err := s.davgGeneric(m, nil)
-		return Fitness{Davg: d, Volume: m.Volume()}, err
+	if err := s.checkMapping(m); err != nil {
+		return Fitness{}, err
 	}
+	s.evals.Add(1)
 	sc := s.getScratch()
-	f := Fitness{Davg: s.davgFast(sc, m, nil), Volume: m.Volume()}
+	f := Fitness{Davg: s.davg(sc, m, nil), Volume: m.Volume()}
 	s.putScratch(sc)
 	return f, nil
 }
 
 // EvaluateAll computes the fitness of every mapping in ms in parallel,
-// writing results into out (len(out) must equal len(ms)). Cancellation
-// is honored between candidates: once ctx is done, no further
-// candidates start and the typed interruption error (runctrl.ErrCanceled
-// / runctrl.ErrDeadline) is returned; out is then partially filled and
-// must be discarded — the caller resumes from its last consistent
-// state, which for the evolutionary loop is the previous generation.
+// writing results into out (len(out) must equal len(ms)). Every mapping
+// is checked before any is scored. Cancellation is honored between
+// candidates: once ctx is done, no further candidates start and the
+// typed interruption error (runctrl.ErrCanceled / runctrl.ErrDeadline)
+// is returned; out is then partially filled and must be discarded — the
+// caller resumes from its last consistent state, which for the
+// evolutionary loop is the previous generation.
 func (s *Service) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []Fitness) error {
+	if err := s.checkBatch(ms, out); err != nil {
+		return err
+	}
+	s.evals.Add(int64(len(ms)))
+	return ForEachWorkerCtx(ctx, len(ms), s.workers, func(w, i int) {
+		out[i] = Fitness{Davg: s.davg(&s.workerSc[w], ms[i], nil), Volume: ms[i].Volume()}
+	})
+}
+
+// checkBatch validates the output length and every mapping of a batch.
+func (s *Service) checkBatch(ms []*portmap.Mapping, out []Fitness) error {
 	if len(out) != len(ms) {
 		return fmt.Errorf("engine: output length %d does not match batch length %d", len(out), len(ms))
 	}
-	s.evals.Add(int64(len(ms)))
-	if s.pred == nil {
-		return ForEachWorkerCtx(ctx, len(ms), s.workers, func(w, i int) {
-			out[i] = Fitness{Davg: s.davgFast(&s.workerSc[w], ms[i], nil), Volume: ms[i].Volume()}
-		})
-	}
-	return ForEachErrCtx(ctx, len(ms), s.workers, func(i int) error {
-		d, err := s.davgGeneric(ms[i], nil)
-		if err != nil {
-			return err
+	for i, m := range ms {
+		if err := s.checkMapping(m); err != nil {
+			return fmt.Errorf("candidate %d: %w", i, err)
 		}
-		out[i] = Fitness{Davg: d, Volume: ms[i].Volume()}
-		return nil
-	})
+	}
+	return nil
 }
 
 // BatchEvaluator is a serial batch-evaluation handle with its own private
@@ -352,28 +346,21 @@ func (s *Service) NewBatchEvaluator() *BatchEvaluator {
 
 // EvaluateAll computes the fitness of every mapping in ms serially on the
 // calling goroutine, writing results into out (len(out) must equal
-// len(ms)). Results are bit-identical to Service.EvaluateAll.
-// Cancellation is honored between candidates, with the same partial-out
-// contract as Service.EvaluateAll.
+// len(ms)). Results are bit-identical to Service.EvaluateAll, and
+// mappings are checked the same way. Cancellation is honored between
+// candidates, with the same partial-out contract as
+// Service.EvaluateAll.
 func (b *BatchEvaluator) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []Fitness) error {
 	s := b.svc
-	if len(out) != len(ms) {
-		return fmt.Errorf("engine: output length %d does not match batch length %d", len(out), len(ms))
+	if err := s.checkBatch(ms, out); err != nil {
+		return err
 	}
 	s.evals.Add(int64(len(ms)))
 	for i, m := range ms {
 		if err := runctrl.Check(ctx); err != nil {
 			return err
 		}
-		if s.pred == nil {
-			out[i] = Fitness{Davg: s.davgFast(&b.sc, m, nil), Volume: m.Volume()}
-			continue
-		}
-		d, err := s.davgGeneric(m, nil)
-		if err != nil {
-			return err
-		}
-		out[i] = Fitness{Davg: d, Volume: m.Volume()}
+		out[i] = Fitness{Davg: s.davg(&b.sc, m, nil), Volume: m.Volume()}
 	}
 	return nil
 }

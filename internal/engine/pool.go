@@ -124,12 +124,6 @@ func ForEachWorkerErr(n, workers int, fn func(worker, i int) error) error {
 	return ForEachWorkerErrCtx(context.Background(), n, workers, fn)
 }
 
-// ForEachErrCtx is ForEachWorkerErrCtx for tasks without per-worker
-// state.
-func ForEachErrCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return ForEachWorkerErrCtx(ctx, n, workers, func(_, i int) error { return fn(i) })
-}
-
 // ForEachErr is ForEachWorkerErr for tasks without per-worker state.
 func ForEachErr(n, workers int, fn func(i int) error) error {
 	return ForEachWorkerErr(n, workers, func(_, i int) error { return fn(i) })

@@ -15,13 +15,10 @@ import (
 )
 
 // FitnessBenchResult reports the fitness-evaluation throughput of the
-// evolutionary hot loop: a full inference run (evolution plus greedy
-// local search) on a synthetic hidden machine, measured with the search's
-// work-skipping layers — the duplicate-candidate skip and delta-scored
-// local search — on and off (evo.Options.DisableCache). Both runs
-// evaluate through the engine's subset-sum tables. The results are
-// bit-identical by construction (pinned in internal/evo); only the cost
-// differs.
+// evolutionary hot loop: one timed inference run (evolution plus greedy
+// local search) on a synthetic hidden machine, in the production
+// configuration — duplicate-candidate skip and delta-scored local
+// search over the engine's subset-sum tables.
 type FitnessBenchResult struct {
 	NumInsts    int
 	NumPorts    int
@@ -29,14 +26,6 @@ type FitnessBenchResult struct {
 	Population  int
 	Generations int
 
-	// Cached is the production configuration, Uncached the same run
-	// with DisableCache.
-	Cached   FitnessBenchRun
-	Uncached FitnessBenchRun
-}
-
-// FitnessBenchRun is one timed inference run.
-type FitnessBenchRun struct {
 	Seconds          float64
 	Evaluations      int
 	EvalsPerSec      float64
@@ -59,7 +48,7 @@ func (mm modelMeasurer) Measure(e portmap.Experiment) (float64, error) {
 }
 
 // RunFitnessBench measures the population fitness loop at the given
-// scale: evo.Run on a hidden random machine, cached vs uncached.
+// scale: one evo.Run on a hidden random machine.
 func RunFitnessBench(ctx context.Context, scale Scale) (*FitnessBenchResult, error) {
 	rng := rand.New(rand.NewSource(scale.Seed + 4))
 	hidden := portmap.Random(rng, portmap.RandomOptions{
@@ -69,59 +58,34 @@ func RunFitnessBench(ctx context.Context, scale Scale) (*FitnessBenchResult, err
 	if err != nil {
 		return nil, fmt.Errorf("fitness bench: %w", err)
 	}
+	start := time.Now()
+	r, err := evo.Run(ctx, set, evo.Options{
+		PopulationSize:  scale.Population,
+		MaxGenerations:  scale.MaxGenerations,
+		NumPorts:        fitnessBenchPorts,
+		LocalSearch:     true,
+		VolumeObjective: true,
+		Seed:            scale.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &FitnessBenchResult{
-		NumInsts:    fitnessBenchInsts,
-		NumPorts:    fitnessBenchPorts,
-		Experiments: set.NumExperiments(),
-		Population:  scale.Population,
-		Generations: scale.MaxGenerations,
+		NumInsts:         fitnessBenchInsts,
+		NumPorts:         fitnessBenchPorts,
+		Experiments:      set.NumExperiments(),
+		Population:       scale.Population,
+		Generations:      scale.MaxGenerations,
+		Seconds:          time.Since(start).Seconds(),
+		Evaluations:      r.FitnessEvaluations,
+		DeltaEvals:       r.CacheStats.DeltaEvaluations,
+		DeltaExpsSkipped: r.CacheStats.DeltaExperimentsSkipped,
+		BestError:        r.BestError,
 	}
-	run := func(disable bool) (FitnessBenchRun, error) {
-		start := time.Now()
-		r, err := evo.Run(ctx, set, evo.Options{
-			PopulationSize:  scale.Population,
-			MaxGenerations:  scale.MaxGenerations,
-			NumPorts:        fitnessBenchPorts,
-			LocalSearch:     true,
-			VolumeObjective: true,
-			Seed:            scale.Seed,
-			DisableCache:    disable,
-		})
-		if err != nil {
-			return FitnessBenchRun{}, err
-		}
-		secs := time.Since(start).Seconds()
-		out := FitnessBenchRun{
-			Seconds:          secs,
-			Evaluations:      r.FitnessEvaluations,
-			DeltaEvals:       r.CacheStats.DeltaEvaluations,
-			DeltaExpsSkipped: r.CacheStats.DeltaExperimentsSkipped,
-			BestError:        r.BestError,
-		}
-		if secs > 0 {
-			out.EvalsPerSec = float64(r.FitnessEvaluations) / secs
-		}
-		return out, nil
-	}
-	if res.Cached, err = run(false); err != nil {
-		return nil, err
-	}
-	if res.Uncached, err = run(true); err != nil {
-		return nil, err
-	}
-	if res.Cached.BestError != res.Uncached.BestError {
-		return nil, fmt.Errorf("fitness bench: cached Davg %v != uncached %v (caching must be bit-exact)",
-			res.Cached.BestError, res.Uncached.BestError)
+	if res.Seconds > 0 {
+		res.EvalsPerSec = float64(r.FitnessEvaluations) / res.Seconds
 	}
 	return res, nil
-}
-
-// Speedup returns the cached-over-uncached wall-time ratio.
-func (r *FitnessBenchResult) Speedup() float64 {
-	if r.Cached.Seconds <= 0 {
-		return 0
-	}
-	return r.Uncached.Seconds / r.Cached.Seconds
 }
 
 // Render prints the benchmark in a human-readable form.
@@ -129,31 +93,17 @@ func (r *FitnessBenchResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fitness-evaluation throughput (hidden %d-inst/%d-port machine, %d experiments, p=%d, %d generations)\n",
 		r.NumInsts, r.NumPorts, r.Experiments, r.Population, r.Generations)
-	b.WriteString("\n")
-	row := func(name string, run FitnessBenchRun) {
-		fmt.Fprintf(&b, "%-9s %9.3fs  %8d evals  %10.0f evals/s  delta=%d skipped=%d\n",
-			name, run.Seconds, run.Evaluations, run.EvalsPerSec, run.DeltaEvals, run.DeltaExpsSkipped)
-	}
-	row("cached", r.Cached)
-	row("uncached", r.Uncached)
-	fmt.Fprintf(&b, "\nspeedup: %.2fx (bit-identical results, Davg = %.6g)\n", r.Speedup(), r.Cached.BestError)
+	fmt.Fprintf(&b, "\n%.3fs  %d evals  %.0f evals/s  delta=%d skipped=%d  Davg = %.6g\n",
+		r.Seconds, r.Evaluations, r.EvalsPerSec, r.DeltaEvals, r.DeltaExpsSkipped, r.BestError)
 	return b.String()
 }
 
-// WriteCSV emits the two timed runs for machine comparison.
+// WriteCSV emits the timed run for machine comparison.
 func (r *FitnessBenchResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "config,seconds,evaluations,evals_per_sec,delta_evals,delta_exps_skipped"); err != nil {
+	if _, err := fmt.Fprintln(w, "seconds,evaluations,evals_per_sec,delta_evals,delta_exps_skipped"); err != nil {
 		return err
 	}
-	for _, row := range []struct {
-		name string
-		run  FitnessBenchRun
-	}{{"cached", r.Cached}, {"uncached", r.Uncached}} {
-		if _, err := fmt.Fprintf(w, "%s,%.6f,%d,%.1f,%d,%d\n",
-			row.name, row.run.Seconds, row.run.Evaluations, row.run.EvalsPerSec,
-			row.run.DeltaEvals, row.run.DeltaExpsSkipped); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "%.6f,%d,%.1f,%d,%d\n",
+		r.Seconds, r.Evaluations, r.EvalsPerSec, r.DeltaEvals, r.DeltaExpsSkipped)
+	return err
 }

@@ -116,11 +116,6 @@ func checkpointKey(setFingerprint uint64, opts Options, plan islandPlan) uint64 
 	for _, sm := range opts.SeedMappings {
 		h = portmap.CombineFingerprints(h, sm.FingerprintAll())
 	}
-	if opts.Engine != nil {
-		for _, c := range []byte(opts.Engine.Name()) {
-			h = portmap.CombineFingerprints(h, uint64(c))
-		}
-	}
 	if h == 0 {
 		h = 1
 	}

@@ -22,9 +22,12 @@
 // knob.
 //
 // Fitness evaluation — the dominant cost of the algorithm — is delegated
-// to internal/engine's batched, parallel fitness service; this package
-// contains no worker-pool code of its own beyond distributing islands
-// over engine.ForEachWorker.
+// to internal/engine's batched, parallel fitness service, which scores
+// every candidate one way: the §4.5 bottleneck algorithm. The search
+// skips duplicate candidates and scores local-search probes
+// incrementally; both are bit-exact. This package contains no
+// worker-pool code of its own beyond distributing islands over
+// engine.ForEachWorker.
 //
 // # Island model
 //
@@ -75,7 +78,8 @@ var (
 // interruption (and a partial Result may accompany it).
 func Interrupted(err error) bool { return runctrl.Interrupted(err) }
 
-// Options configures the evolutionary algorithm.
+// Options configures the evolutionary algorithm. No option changes how
+// a candidate's fitness is computed (see the package documentation).
 type Options struct {
 	// PopulationSize is p: each generation keeps the best p of 2p
 	// individuals. The paper's evaluation uses 100,000; scaled-down runs
@@ -140,23 +144,8 @@ type Options struct {
 	// smallest island population are capped one below it; negative
 	// disables migration.
 	MigrationCount int
-	// Engine selects the throughput engine used for fitness evaluation.
-	// nil selects the engine package's zero-allocation bottleneck fast
-	// path (§4.5); any other engine.Predictor (e.g. the LP reference)
-	// goes through the generic interface.
-	Engine engine.Predictor
 	// Seed makes runs reproducible.
 	Seed int64
-	// DisableCache turns off the two work-skipping layers of the
-	// search: the duplicate-candidate skip (candidates whose
-	// whole-mapping fingerprint was already scored this generation
-	// reuse that fitness instead of being evaluated) and the delta
-	// scoring of local-search probes (each probe is scored by a full
-	// evaluation instead of engine.Service.EvaluateDelta). Results are
-	// bit-identical either way (pinned by test); only
-	// Result.FitnessEvaluations grows. The knob exists for benchmarking
-	// and debugging.
-	DisableCache bool
 	// ConvergenceEps terminates evolution when the spread of Davg in the
 	// selected population falls below it and all volumes agree.
 	ConvergenceEps float64
@@ -326,10 +315,7 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		}
 	}
 
-	svc, err := engine.NewService(set, engine.ServiceOptions{
-		Workers:   opts.Workers,
-		Predictor: opts.Engine,
-	})
+	svc, err := engine.NewService(set, engine.ServiceOptions{Workers: opts.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("evo: %w", err)
 	}
@@ -508,12 +494,12 @@ func (isl *island) alive(maxGens int) bool {
 // generation boundary — isl.gens/isl.draws always describe a fully
 // evaluated, sorted population, so an interrupted island checkpoints
 // and resumes exactly like one that hit its barrier.
-func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedupe bool) {
+func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options) {
 	if isl.err != nil {
 		return
 	}
 	if !isl.inited {
-		if err := evaluate(ctx, isl.be, isl.pop, isl.seen, dedupe); err != nil {
+		if err := evaluate(ctx, isl.be, isl.pop, isl.seen); err != nil {
 			isl.err = err
 			return
 		}
@@ -544,15 +530,13 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedup
 				children = append(children, individual{m: c2})
 			}
 		}
-		if dedupe {
-			// Prime the duplicate skip with the already evaluated parents;
-			// rebuilding it per generation keeps it bounded.
-			clear(isl.seen)
-			for i := range isl.pop {
-				isl.seen[isl.pop[i].m.FingerprintAll()] = engine.Fitness{Davg: isl.pop[i].davg, Volume: isl.pop[i].volume}
-			}
+		// Prime the duplicate skip with the already evaluated parents;
+		// rebuilding it per generation keeps it bounded.
+		clear(isl.seen)
+		for i := range isl.pop {
+			isl.seen[isl.pop[i].m.FingerprintAll()] = engine.Fitness{Davg: isl.pop[i].davg, Volume: isl.pop[i].volume}
 		}
-		if err := evaluate(ctx, isl.be, children, isl.seen, dedupe); err != nil {
+		if err := evaluate(ctx, isl.be, children, isl.seen); err != nil {
 			// Interrupted mid-batch: the aborted generation's children
 			// are discarded and the island state stays at the last
 			// boundary (gens/draws untouched). Real errors propagate.
@@ -688,7 +672,6 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		return g
 	}
 
-	dedupe := !opts.DisableCache
 	migrating := plan.interval > 0 && plan.count > 0
 	// A migration is due once some island evolved since the last one
 	// and every island has reached its migration generation or
@@ -734,7 +717,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			break
 		}
 		engine.ForEachWorker(len(isls), opts.Workers, func(_, k int) {
-			isls[k].evolve(ctx, set, opts, dedupe)
+			isls[k].evolve(ctx, set, opts)
 		})
 		interrupted := runctrl.Check(ctx)
 		for _, isl := range isls {
@@ -898,32 +881,16 @@ type batchEvaluator interface {
 }
 
 // evaluate fills in the objectives of all individuals through the given
-// batch evaluator. With dedupe enabled, structurally equal candidates —
-// detected by whole-mapping fingerprint, within the batch and against
-// the caller-primed seen map — are evaluated once and the fitness
-// copied (bit-identical: equal mappings have equal fitness). Newly
-// computed fitnesses are added to seen.
+// batch evaluator. Structurally equal candidates — detected by
+// whole-mapping fingerprint, within the batch and against the
+// caller-primed seen map — are evaluated once and the fitness copied
+// (bit-identical: equal mappings have equal fitness). Newly computed
+// fitnesses are added to seen.
 //
 // An interrupted EvaluateAll leaves the batch partially filled; the
 // error propagates and no individual is updated, so the caller's
 // population stays consistent (the aborted batch is simply discarded).
-func evaluate(ctx context.Context, be batchEvaluator, inds []individual, seen map[uint64]engine.Fitness, dedupe bool) error {
-	if !dedupe {
-		ms := make([]*portmap.Mapping, len(inds))
-		for i := range inds {
-			ms[i] = inds[i].m
-		}
-		fits := make([]engine.Fitness, len(inds))
-		if err := be.EvaluateAll(ctx, ms, fits); err != nil {
-			return err
-		}
-		for i := range inds {
-			inds[i].davg = fits[i].Davg
-			inds[i].volume = fits[i].Volume
-		}
-		return nil
-	}
-
+func evaluate(ctx context.Context, be batchEvaluator, inds []individual, seen map[uint64]engine.Fitness) error {
 	fps := make([]uint64, len(inds))
 	batch := make(map[uint64]int, len(inds)) // fingerprint -> index into uniq
 	uniq := make([]*portmap.Mapping, 0, len(inds))
@@ -1118,24 +1085,18 @@ func mutate(rng *rand.Rand, m *portmap.Mapping, opts Options, tpHints []float64)
 // rejected probes revert the edit, accepted ones commit the delta. The
 // one Clone is taken up front, so the probe loop allocates nothing and
 // its cost is O(#experiments containing instruction i) per probe instead
-// of O(#experiments). With Options.DisableCache every probe is scored by
-// a full evaluation instead — bit-identical, pinned by test.
+// of O(#experiments).
 //
 // Cancellation is checked per pass and per instruction; an interrupted
 // search returns the best individual accepted so far (every commit
 // leaves m consistent) with the typed interruption error.
 func localSearch(ctx context.Context, svc *engine.Service, start individual, opts Options) (individual, error) {
 	m := start.m.Clone()
-	cur := engine.Fitness{Davg: start.davg, Volume: start.volume}
-	var st *engine.FitnessState
-	if !opts.DisableCache {
-		var err error
-		st, err = svc.NewState(m)
-		if err != nil {
-			return individual{}, err
-		}
-		cur = st.Fitness()
+	st, err := svc.NewState(m)
+	if err != nil {
+		return individual{}, err
 	}
+	cur := st.Fitness()
 
 	better := func(d2 float64, v2 int, d1 float64, v1 int) bool {
 		if d2 < d1-1e-12 {
@@ -1170,20 +1131,12 @@ func localSearch(ctx context.Context, svc *engine.Service, start individual, opt
 					} else {
 						m.SetUopCount(i, j, next)
 					}
-					var fit engine.Fitness
-					var err error
-					if st != nil {
-						fit, err = svc.EvaluateDelta(st, i)
-					} else {
-						fit, err = svc.Evaluate(m)
-					}
+					fit, err := svc.EvaluateDelta(st, i)
 					if err != nil {
 						return individual{}, err
 					}
 					if better(fit.Davg, fit.Volume, cur.Davg, cur.Volume) {
-						if st != nil {
-							st.Commit()
-						}
+						st.Commit()
 						cur = fit
 						improved = true
 						break // re-inspect the modified decomposition

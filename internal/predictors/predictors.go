@@ -16,9 +16,9 @@
 //     dependency-free experiments (§5.3.1, Table 3).
 //
 // All predictors implement the Predictor interface; FromMapping adapts
-// any port mapping (including PMEvo's inferred ones) to it. Throughput
-// computation goes through internal/engine's unified Predictor layer,
-// which also provides the batched, parallel PredictAll entry point.
+// any port mapping (including PMEvo's inferred ones) to it. Mapping
+// predictions go through internal/engine's bottleneck engine, which
+// also provides the batched, parallel PredictAll entry point.
 package predictors
 
 import (
@@ -65,10 +65,10 @@ func PredictAll(p Predictor, es []portmap.Experiment, out []float64) error {
 	})
 }
 
-// mappingPredictor binds a throughput engine to a fixed port mapping.
+// mappingPredictor binds the default (bottleneck) throughput engine to
+// a fixed port mapping.
 type mappingPredictor struct {
 	name string
-	eng  engine.Predictor
 	m    *portmap.Mapping
 }
 
@@ -77,20 +77,13 @@ type mappingPredictor struct {
 // throughput model. PMEvo's inferred mappings are evaluated through
 // this adapter.
 func FromMapping(name string, m *portmap.Mapping) Predictor {
-	return FromMappingEngine(name, engine.Default(), m)
-}
-
-// FromMappingEngine is FromMapping with an explicit throughput engine
-// (e.g. the LP reference), for evaluating a mapping under a
-// non-default throughput model.
-func FromMappingEngine(name string, eng engine.Predictor, m *portmap.Mapping) Predictor {
-	return &mappingPredictor{name: name, eng: eng, m: m}
+	return &mappingPredictor{name: name, m: m}
 }
 
 func (p *mappingPredictor) Name() string { return p.name }
 
 func (p *mappingPredictor) Predict(e portmap.Experiment) (float64, error) {
-	v, err := p.eng.Predict(p.m, e)
+	v, err := engine.Default().Predict(p.m, e)
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", p.name, err)
 	}
@@ -98,30 +91,10 @@ func (p *mappingPredictor) Predict(e portmap.Experiment) (float64, error) {
 }
 
 func (p *mappingPredictor) PredictAll(es []portmap.Experiment, out []float64) error {
-	if err := p.eng.PredictAll(p.m, es, out); err != nil {
+	if err := engine.Default().PredictAll(p.m, es, out); err != nil {
 		return fmt.Errorf("%s: %w", p.name, err)
 	}
 	return nil
-}
-
-// boundEngine adapts a bound heuristic predictor (IACA, llvm-mca,
-// Ithemal, ...) to the engine.Predictor interface. The mapping argument
-// is ignored: heuristic predictors carry their own model.
-type boundEngine struct{ p Predictor }
-
-// AsEngine lifts any Predictor into the engine.Predictor interface so
-// heuristic baselines can flow through code written against the unified
-// engine layer.
-func AsEngine(p Predictor) engine.Predictor { return boundEngine{p} }
-
-func (b boundEngine) Name() string { return b.p.Name() }
-
-func (b boundEngine) Predict(_ *portmap.Mapping, e portmap.Experiment) (float64, error) {
-	return b.p.Predict(e)
-}
-
-func (b boundEngine) PredictAll(_ *portmap.Mapping, es []portmap.Experiment, out []float64) error {
-	return PredictAll(b.p, es, out)
 }
 
 // UopsInfo builds the uops.info-style predictor: the exact documented

@@ -252,43 +252,6 @@ func TestSolveLinearSystem(t *testing.T) {
 	}
 }
 
-// TestAsEngineLiftsHeuristics checks the adapter that lifts a bound
-// heuristic predictor into the engine.Predictor interface: predictions
-// must match the direct interface, single and batched, with the
-// mapping argument ignored.
-func TestAsEngineLiftsHeuristics(t *testing.T) {
-	proc := uarch.SKL()
-	iaca, err := IACA(proc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lifted := AsEngine(iaca)
-	if lifted.Name() != iaca.Name() {
-		t.Errorf("Name = %q, want %q", lifted.Name(), iaca.Name())
-	}
-	rng := rand.New(rand.NewSource(13))
-	es := exp.RandomBenchmarkSet(rng, proc.ISA.NumForms(), 20, 4)
-	batched := make([]float64, len(es))
-	// The mapping argument must be irrelevant: pass nil.
-	if err := lifted.PredictAll(nil, es, batched); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range es {
-		direct, err := iaca.Predict(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, err := lifted.Predict(nil, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if single != direct || batched[i] != direct {
-			t.Errorf("experiment %d: direct %g, lifted single %g, batched %g",
-				i, direct, single, batched[i])
-		}
-	}
-}
-
 // TestIthemalRejectsDegenerateBlockLength: MaxBlockLen 1 must error,
 // not panic (blocks are always at least 2 instructions long).
 func TestIthemalRejectsDegenerateBlockLength(t *testing.T) {

@@ -27,30 +27,9 @@ func Analyze(m *portmap.Mapping, e portmap.Experiment) (*Analysis, error) {
 	terms := m.Flatten(e)
 	numPorts := m.NumPorts
 
-	// Merge terms by port set.
-	type uop struct {
-		ports portmap.PortSet
-		mass  float64
-	}
-	var uops []uop
-	for _, t := range terms {
-		if t.Mass == 0 {
-			continue
-		}
-		if t.Ports.IsEmpty() {
-			return nil, fmt.Errorf("throughput: experiment contains a µop with no ports")
-		}
-		found := false
-		for i := range uops {
-			if uops[i].ports == t.Ports {
-				uops[i].mass += t.Mass
-				found = true
-				break
-			}
-		}
-		if !found {
-			uops = append(uops, uop{t.Ports, t.Mass})
-		}
+	uops, _, ok := mergeByPorts(nil, terms)
+	if !ok {
+		return nil, fmt.Errorf("throughput: experiment contains a µop with no ports")
 	}
 	if len(uops) == 0 {
 		return &Analysis{PortLoad: make([]float64, numPorts)}, nil

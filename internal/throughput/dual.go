@@ -26,30 +26,9 @@ import (
 // correctness argument for the bottleneck simulation algorithm; the
 // property tests in this package do exactly that.
 func DualLP(terms []portmap.MassTerm, numPorts int) (float64, error) {
-	// Merge terms by port set.
-	type uop struct {
-		ports portmap.PortSet
-		mass  float64
-	}
-	var uops []uop
-	for _, t := range terms {
-		if t.Mass == 0 {
-			continue
-		}
-		if t.Ports.IsEmpty() {
-			return math.Inf(1), nil
-		}
-		found := false
-		for i := range uops {
-			if uops[i].ports == t.Ports {
-				uops[i].mass += t.Mass
-				found = true
-				break
-			}
-		}
-		if !found {
-			uops = append(uops, uop{t.Ports, t.Mass})
-		}
+	uops, _, ok := mergeByPorts(nil, terms)
+	if !ok {
+		return math.Inf(1), nil
 	}
 	if len(uops) == 0 {
 		return 0, nil
@@ -107,28 +86,9 @@ func DualLP(terms []portmap.MassTerm, numPorts int) (float64, error) {
 // the optimum, the smallest (by popcount, then by bitmask value) is
 // returned. An empty set is returned for empty experiments.
 func BottleneckWitness(terms []portmap.MassTerm) (portmap.PortSet, float64) {
-	// Merge by mask.
-	var masks []maskMass
-	var used portmap.PortSet
-	for _, t := range terms {
-		if t.Mass == 0 {
-			continue
-		}
-		if t.Ports.IsEmpty() {
-			return 0, math.Inf(1)
-		}
-		used |= t.Ports
-		found := false
-		for i := range masks {
-			if masks[i].ports == t.Ports {
-				masks[i].mass += t.Mass
-				found = true
-				break
-			}
-		}
-		if !found {
-			masks = append(masks, maskMass{ports: t.Ports, mass: t.Mass})
-		}
+	masks, _, ok := mergeByPorts(nil, terms)
+	if !ok {
+		return 0, math.Inf(1)
 	}
 	if len(masks) == 0 {
 		return 0, 0

@@ -90,28 +90,35 @@ func (ev *Evaluator) mergeTerms(terms []portmap.MassTerm) (used portmap.PortSet,
 // mergeTermsLinear is the small-input path of mergeTerms: a linear
 // scan of the merged list per term.
 func (ev *Evaluator) mergeTermsLinear(terms []portmap.MassTerm) (used portmap.PortSet, ok bool) {
-	ev.masks = ev.masks[:0]
+	ev.masks, used, ok = mergeByPorts(ev.masks[:0], terms)
+	return used, ok
+}
+
+// mergeByPorts appends the non-zero masses of terms to dst, merged by
+// port set in first-occurrence order, and returns the extended slice
+// with the union of the occurring ports. ok=false signals a positive
+// mass on an empty port set (the experiment cannot execute). Every
+// engine merges through this loop (or mergeTermsIndexed, which keeps
+// the same order), so all of them sum masses in the same order.
+func mergeByPorts(dst []maskMass, terms []portmap.MassTerm) (merged []maskMass, used portmap.PortSet, ok bool) {
+next:
 	for _, t := range terms {
 		if t.Mass == 0 {
 			continue
 		}
 		if t.Ports.IsEmpty() {
-			return 0, false
+			return dst, 0, false
 		}
 		used |= t.Ports
-		found := false
-		for i := range ev.masks {
-			if ev.masks[i].ports == t.Ports {
-				ev.masks[i].mass += t.Mass
-				found = true
-				break
+		for i := range dst {
+			if dst[i].ports == t.Ports {
+				dst[i].mass += t.Mass
+				continue next
 			}
 		}
-		if !found {
-			ev.masks = append(ev.masks, maskMass{ports: t.Ports, mass: t.Mass})
-		}
+		dst = append(dst, maskMass{ports: t.Ports, mass: t.Mass})
 	}
-	return used, true
+	return dst, used, true
 }
 
 // mergeTermsIndexed is the wide-input path of mergeTerms: an index map
@@ -168,7 +175,7 @@ func (ev *Evaluator) Bottleneck(terms []portmap.MassTerm) float64 {
 	d := len(ev.masks)
 	if d <= 12 && d < k {
 		// Union enumeration: O(2^d · d), independent of the port count.
-		return ev.bottleneckUnion()
+		return unionBottleneck(ev.masks)
 	}
 	return ev.bottleneckTable(used, k)
 }
@@ -261,22 +268,22 @@ func (ev *Evaluator) bottleneckTable(used portmap.PortSet, k int) float64 {
 	return best
 }
 
-// bottleneckUnion enumerates subsets of the merged µop masks in
-// ev.masks: the optimum of Equation 1 is always attained at a Q that is
-// a union of µop port sets (shrinking Q to the union of the port sets it
-// covers keeps the mass and cannot grow |Q|).
-func (ev *Evaluator) bottleneckUnion() float64 {
-	d := len(ev.masks)
+// unionBottleneck evaluates Equation 1 over merged µop masses by
+// enumerating the non-empty subsets of the masses: the optimum is always
+// attained at a Q that is a union of µop port sets (shrinking Q to the
+// union of the port sets it covers keeps the mass and cannot grow |Q|).
+// No masses give 0.
+func unionBottleneck(masks []maskMass) float64 {
 	best := 0.0
-	for s := 1; s < 1<<uint(d); s++ {
+	for s := 1; s < 1<<uint(len(masks)); s++ {
 		var q portmap.PortSet
 		for v := uint(s); v != 0; v &= v - 1 {
-			q |= ev.masks[bits.TrailingZeros(v)].ports
+			q |= masks[bits.TrailingZeros(v)].ports
 		}
 		mass := 0.0
-		for i := range ev.masks {
-			if ev.masks[i].ports.SubsetOf(q) {
-				mass += ev.masks[i].mass
+		for i := range masks {
+			if masks[i].ports.SubsetOf(q) {
+				mass += masks[i].mass
 			}
 		}
 		if v := mass / float64(q.Count()); v > best {
@@ -340,53 +347,14 @@ func BottleneckNaive(terms []portmap.MassTerm) float64 {
 // covered mass while not increasing |Q|. The cost is Θ(2^d) in the number
 // d of distinct µops, independent of the port count.
 func BottleneckUnion(terms []portmap.MassTerm) float64 {
-	// Merge terms by port set first.
-	distinct := make([]portmap.MassTerm, 0, len(terms))
-	for _, t := range terms {
-		if t.Mass == 0 {
-			continue
-		}
-		if t.Ports.IsEmpty() {
-			return math.Inf(1)
-		}
-		found := false
-		for i := range distinct {
-			if distinct[i].Ports == t.Ports {
-				distinct[i].Mass += t.Mass
-				found = true
-				break
-			}
-		}
-		if !found {
-			distinct = append(distinct, t)
-		}
+	masks, _, ok := mergeByPorts(make([]maskMass, 0, len(terms)), terms)
+	if !ok {
+		return math.Inf(1)
 	}
-	d := len(distinct)
-	if d == 0 {
-		return 0
+	if len(masks) > 24 {
+		panic(fmt.Sprintf("throughput: %d distinct µops exceed the union-enumeration limit", len(masks)))
 	}
-	if d > 24 {
-		panic(fmt.Sprintf("throughput: %d distinct µops exceed the union-enumeration limit", d))
-	}
-	best := 0.0
-	for s := 1; s < 1<<uint(d); s++ {
-		var q portmap.PortSet
-		for j := 0; j < d; j++ {
-			if s&(1<<uint(j)) != 0 {
-				q |= distinct[j].Ports
-			}
-		}
-		mass := 0.0
-		for _, t := range distinct {
-			if t.Ports.SubsetOf(q) {
-				mass += t.Mass
-			}
-		}
-		if v := mass / float64(q.Count()); v > best {
-			best = v
-		}
-	}
-	return best
+	return unionBottleneck(masks)
 }
 
 // LP computes the throughput by building and solving the linear program
@@ -396,29 +364,9 @@ func BottleneckUnion(terms []portmap.MassTerm) float64 {
 // methodology for the Gurobi baseline.
 func LP(terms []portmap.MassTerm, numPorts int) (float64, error) {
 	// Merge terms by port set so each µop yields one mass constraint.
-	type uop struct {
-		ports portmap.PortSet
-		mass  float64
-	}
-	var uops []uop
-	for _, t := range terms {
-		if t.Mass == 0 {
-			continue
-		}
-		if t.Ports.IsEmpty() {
-			return math.Inf(1), nil
-		}
-		found := false
-		for i := range uops {
-			if uops[i].ports == t.Ports {
-				uops[i].mass += t.Mass
-				found = true
-				break
-			}
-		}
-		if !found {
-			uops = append(uops, uop{t.Ports, t.Mass})
-		}
+	uops, _, ok := mergeByPorts(nil, terms)
+	if !ok {
+		return math.Inf(1), nil
 	}
 	if len(uops) == 0 {
 		return 0, nil

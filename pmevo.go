@@ -68,11 +68,11 @@ type Measurer = exp.Measurer
 // measure a whole batch at once; the pipeline uses it when available.
 type BatchMeasurer = exp.BatchMeasurer
 
-// Predictor is the unified throughput-engine interface: it predicts the
-// steady-state throughput of experiments under a port mapping, single
-// or batched, and is safe for concurrent use. Engines are selected by
-// name with EngineByName; the batched PredictAll form fans out over a
-// worker pool.
+// Predictor is a throughput engine: it predicts the steady-state
+// throughput of experiments under a port mapping, single or batched,
+// and is safe for concurrent use. Engines are selected by name with
+// EngineByName; the batched PredictAll form fans out over a worker
+// pool.
 type Predictor = engine.Predictor
 
 // Config configures an inference run.
@@ -86,6 +86,9 @@ type Result = core.Result
 // sub-populations with periodic ring migration; with a fixed Seed the
 // result is reproducible regardless of Workers, and Islands <= 1 runs
 // the paper's single-population algorithm as the one-island case.
+// Candidates are always scored with the bottleneck algorithm (§4.5),
+// skipping duplicate candidates and re-scoring local-search probes
+// incrementally; no option changes how fitness is computed.
 type EvoOptions = evo.Options
 
 // CacheStats reports the fitness engine's evaluation counters after a
@@ -143,7 +146,7 @@ func EngineNames() []string { return engine.Names() }
 
 // EngineByName returns the named throughput engine; the empty string
 // selects the default (bottleneck) engine.
-func EngineByName(name string) (Predictor, error) { return engine.ByName(name) }
+func EngineByName(name string) (*Predictor, error) { return engine.ByName(name) }
 
 // Analyze computes an optimal port allocation for an experiment under a
 // mapping: throughput, per-port load, and the bottleneck port set.
